@@ -27,6 +27,7 @@ from .basis import (
 from .counting import (
     CountResult,
     ball_volume,
+    count_many,
     count_points,
     count_scan,
     error_term,

@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from latticeball import counting
 from latticeball.basis import LatticeBasis, identity_basis
 from latticeball.counting import (
     CountResult,
     ball_volume,
+    count_many,
     count_points,
     count_scan,
     error_term,
     unit_ball_volume,
     write_count_csv,
 )
+from latticeball.sampling import HaarSamplerConfig, Seed, sample_haar_unimodular
 
 from conftest import brute_count, random_basis
 
@@ -148,3 +151,66 @@ class TestOracleEquivalence:
                 except ValueError:
                     continue
                 assert count_points(X, t) == expected
+
+
+class TestCountMany:
+    """The batched enumeration against the batch of one and a box count."""
+
+    @staticmethod
+    def _check(bases, t):
+        many = count_many(bases, t)
+        assert many.dtype == np.int64
+        assert list(many) == [count_points(X, t) for X in bases]
+        for X, c in zip(bases, many):
+            try:
+                assert c == brute_count(X, t)
+            except ValueError:
+                continue
+
+    def test_random_bases(self, rng):
+        for n in (2, 3):
+            bases = [random_basis(rng, n) for _ in range(25)]
+            for t in (0.7, 2.0, 3.5):
+                self._check(bases, t)
+
+    def test_haar_bases(self):
+        config = HaarSamplerConfig(n=3)
+        bases = [sample_haar_unimodular(config, Seed(11, i))
+                 for i in range(30)]
+        for t in (1.0, 2.5, 4.0):
+            self._check(bases, t)
+        deep = count_many(bases, 8.0)
+        assert list(deep) == [count_points(X, 8.0) for X in bases]
+
+    def test_radius_zero(self, rng):
+        bases = [random_basis(rng, 3) for _ in range(5)]
+        assert list(count_many(bases, 0.0)) == [1] * 5
+
+    def test_radii_on_lattice_norms(self):
+        # integer t on Z^3 puts lattice points exactly on the sphere
+        bases = [identity_basis(3), identity_basis(2)]
+        for t in range(1, 9):
+            self._check(bases, float(t))
+
+    def test_mixed_dimensions(self, rng):
+        bases = [random_basis(rng, 2 + (j % 3 == 0)) for j in range(20)]
+        self._check(bases, 2.5)
+
+    def test_batch_crossing_row_cap(self, rng, monkeypatch):
+        bases = [random_basis(rng, n) for n in (2, 3, 3, 2, 3)]
+        bases.append(identity_basis(3))
+        expected = [count_points(X, 4.0) for X in bases]
+        monkeypatch.setattr(counting, "ROW_CAP", 7)
+        assert list(count_many(bases, 4.0)) == expected
+
+    def test_empty_batch(self):
+        assert count_many([], 3.0).shape == (0,)
+
+    def test_overflow_guard_inside_batch(self):
+        tiny = LatticeBasis(1e-10 * np.eye(3))
+        with pytest.raises(OverflowError):
+            count_many([identity_basis(3), tiny, identity_basis(2)], 10.0)
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError):
+            count_many([identity_basis(2)], -1.0)

@@ -12,6 +12,7 @@ from latticeball.meanvalue import (
     rogers_second_moment,
     scaling_identity_check,
     siegel_mean,
+    thread_count,
     variance_prediction,
 )
 from latticeball.sampling import CompactFamilySpec, Seed, sample_compact
@@ -152,6 +153,10 @@ class TestMcStats:
         monkeypatch.setenv("LATTICEBALL_THREADS", "4")
         b = mc_stats(self._compact_sampler(), 5.0, 60, Seed(6, 0))
         assert a == b
+
+    def test_one_thread_by_default(self, monkeypatch):
+        monkeypatch.delenv("LATTICEBALL_THREADS", raising=False)
+        assert thread_count() == 1
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
