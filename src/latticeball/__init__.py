@@ -37,7 +37,6 @@ from .fourier import (
     MollifierSpec,
     SandwichResult,
     SmoothedCount,
-    bessel_j1,
     hat_chi_ball,
     hat_chi_lattice,
     mollifier_hat,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -92,8 +93,9 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _basis_from_config(cfg: dict) -> LatticeBasis:
-    spec = _require(cfg, "basis")
+def _parse_basis(spec, cfg: dict) -> LatticeBasis:
+    """A basis given as "identity" (sized by the config's "n") or as a
+    basis object {"n": ..., "columns": [...]}."""
     if spec == "identity":
         return identity_basis(int(_require(cfg, "n")))
     if isinstance(spec, dict):
@@ -104,9 +106,19 @@ def _basis_from_config(cfg: dict) -> LatticeBasis:
     raise InputError("basis must be 'identity' or a basis object")
 
 
+def _float_list(value, key: str) -> list:
+    """A JSON array of numbers as floats; any other shape is malformed."""
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be an array of numbers")
+    try:
+        return [float(v) for v in value]
+    except TypeError as exc:
+        raise InputError(f"{key!r} must be an array of numbers") from exc
+
+
 def _t_grid_from_config(cfg: dict) -> list:
     if "t_grid" in cfg:
-        grid = [float(t) for t in cfg["t_grid"]]
+        grid = _float_list(cfg["t_grid"], "t_grid")
     elif "t" in cfg:
         grid = [float(cfg["t"])]
     else:
@@ -128,7 +140,7 @@ def _seed_from(cfg: dict, args) -> int:
 
 
 def _run_count(cfg: dict, args):
-    basis = _basis_from_config(cfg)
+    basis = _parse_basis(_require(cfg, "basis"), cfg)
     grid = sorted(_t_grid_from_config(cfg))
     results = count_scan(basis, grid)
     rows = [(r.t, r.count, r.volume, r.remainder) for r in results]
@@ -149,14 +161,19 @@ def _run_theorem1(cfg: dict, args):
     samples = int(_require(cfg, "samples"))
     master = _seed_from(cfg, args)
     fam = _require(cfg, "family")
-    center_spec = fam.get("center", "identity")
-    if center_spec == "identity":
-        center = identity_basis(n)
-    else:
-        center = basis_from_json(center_spec)
+    if not isinstance(fam, dict):
+        raise InputError("family must be an object")
+    center = _parse_basis(fam.get("center", "identity"), cfg)
+    if center.n != n:
+        raise ConfigError(f"family center has dimension {center.n}, not {n}")
     family = CompactFamilySpec(center=center.entries,
                                delta=float(_require(fam, "delta")),
                                det_floor=float(_require(fam, "det_floor")))
+    band = cfg.get("band", {2: [0.3, 0.8], 3: [0.8, 1.3]}.get(n))
+    if band is not None:
+        band = _float_list(band, "band")
+        if len(band) != 2:
+            raise InputError("band must be a [low, high] pair")
     per_t = []
     rows = []
     for ti, t in enumerate(grid):
@@ -170,8 +187,6 @@ def _run_theorem1(cfg: dict, args):
         })
         rows.append((t, stats.rms_E, stats.mean_E, stats.var_E, samples))
     fit = fit_scaling_exponent([(p["t"], p["rms_E"]) for p in per_t])
-    default_band = {2: (0.3, 0.8), 3: (0.8, 1.3)}.get(n)
-    band = cfg.get("band", default_band)
     out = {
         "n": n,
         "seed": master,
@@ -181,8 +196,8 @@ def _run_theorem1(cfg: dict, args):
         "reference_exponent": (n - 1) / 2.0,
     }
     if band is not None:
-        lo, hi = float(band[0]), float(band[1])
-        out["band"] = [lo, hi]
+        lo, hi = band
+        out["band"] = band
         out["verdict"] = "PASS" if lo <= fit.slope <= hi else "FAIL"
     return out, (("t", "rms_E", "mean_E", "var_E", "samples"), rows)
 
@@ -248,7 +263,7 @@ def _run_fourier(cfg: dict, args):
     if n == 0:
         raise ConfigError("fourier needs n")
     if "s_grid" in cfg:
-        s = np.asarray([float(v) for v in cfg["s_grid"]], dtype=float)
+        s = np.asarray(_float_list(cfg["s_grid"], "s_grid"))
     else:
         s_max = float(cfg.get("s_max", getattr(args, "s_max", None) or 10.0))
         points = int(cfg.get("points", getattr(args, "points", None) or 201))
@@ -264,12 +279,12 @@ def _run_fourier(cfg: dict, args):
 
 
 def _run_sandwich(cfg: dict, args):
-    basis = _basis_from_config(cfg)
+    basis = _parse_basis(_require(cfg, "basis"), cfg)
     t = float(_require(cfg, "t"))
     epsilon = float(_require(cfg, "epsilon"))
     result = sandwich_check(basis, t, epsilon,
                             tail_target=float(cfg.get("tail_target", 1e-3)))
-    return result.to_dict(), None
+    return dataclasses.asdict(result), None
 
 
 def _osc_spec_from_config(cfg: dict) -> OscillatorySpec:
@@ -300,7 +315,7 @@ def _run_oscint(cfg: dict, args):
         kwargs["points_per_axis"] = cfg["points_per_axis"]
     if cfg.get("hessian", False):
         report = hessian_bound_check(spec, grid, **kwargs)
-        out = report.to_dict()
+        out = dataclasses.asdict(report)
         rows = list(zip(report.t_grid, report.measured, report.bound,
                         report.ratios))
         return out, (("t", "measured", "bound", "ratio"), rows)
@@ -317,8 +332,8 @@ def _run_oscint(cfg: dict, args):
 
 
 def _run_vdc(cfg: dict, args):
-    phi_coeffs = [float(c) for c in _require(cfg, "phi")]
-    psi_coeffs = [float(c) for c in _require(cfg, "psi0")]
+    phi_coeffs = _float_list(_require(cfg, "phi"), "phi")
+    psi_coeffs = _float_list(_require(cfg, "psi0"), "psi0")
     a = float(_require(cfg, "a"))
     b = float(_require(cfg, "b"))
     grid = sorted(_t_grid_from_config(cfg))
@@ -331,7 +346,7 @@ def _run_vdc(cfg: dict, args):
         return np.polynomial.polynomial.polyval(x, _c)
 
     report = vdc_check(phi, psi0, a, b, grid, grid_points=grid_points)
-    out = report.to_dict()
+    out = dataclasses.asdict(report)
     out["phi"] = phi_coeffs
     out["psi0"] = psi_coeffs
     out["interval"] = [a, b]

@@ -151,11 +151,3 @@ def count_scan(basis: LatticeBasis, t_grid) -> list[CountResult]:
         out.append(CountResult(t=t, count=c, volume=v, remainder=c - v))
     return out
 
-
-def write_count_csv(results, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,count,volume,remainder\n")
-        for r in results:
-            fh.write(
-                f"{r.t:.17g},{r.count},{r.volume:.17g},{r.remainder:.17g}\n"
-            )

@@ -2,10 +2,9 @@
 mollified Poisson summation that sandwiches the exact count.
 
 The transform of the unit ball has closed forms in the two dimensions we
-need: a trig expression for n = 3 and J1(2 pi s)/s for n = 2.  J1 itself
-is evaluated by a power series below x = 8 and the large-argument
-expansion beyond, carried to enough terms that the switch point is
-accurate to about 1e-12.
+need: a trig expression for n = 3 and J1(2 pi s)/s for n = 2, with J1
+taken from scipy.special.  Near s = 0 both give way to a short even
+Taylor series.
 
 The mollifier is a normalized product bump: rho(x) = prod rho0(x_i) with
 rho0 proportional to exp(-1/(1-x^2)) on [-1, 1] and unit mass.  Its 1-d
@@ -23,74 +22,6 @@ import numpy as np
 
 from .basis import LatticeBasis, dual_norm
 from .counting import count_points, unit_ball_volume
-
-# ---------------------------------------------------------------------------
-# Bessel J1
-# ---------------------------------------------------------------------------
-
-_J1_SERIES_TERMS = 32
-_J1_SERIES_COEFF = np.array(
-    [1.0 / (math.factorial(m) * math.factorial(m + 1))
-     for m in range(_J1_SERIES_TERMS)]
-)
-
-
-def _hankel_coeffs(mu: float, kmax: int) -> np.ndarray:
-    c = np.empty(kmax + 1)
-    c[0] = 1.0
-    for k in range(1, kmax + 1):
-        c[k] = c[k - 1] * (mu - (2 * k - 1) ** 2) / (k * 8.0)
-    return c
-
-_J1_HANKEL = _hankel_coeffs(4.0, 13)
-
-# The raw Hankel series bottoms out near 7e-9 at x = 8, so the branch
-# switch sits at 12, where the truncation error is a few 1e-11 and the
-# power series still costs nothing in accuracy.
-_J1_SWITCH = 12.0
-
-
-def bessel_j1(x):
-    """J1 by power series below x = 12 and the Hankel expansion beyond.
-
-    Absolute error stays below 1e-10 out to x = 1000 and beyond; the
-    worst point is the switchover, where both branches agree to ~3e-11.
-    """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-    ax = np.abs(x)
-
-    small = ax < _J1_SWITCH
-    if np.any(small):
-        h = ax[small] / 2.0
-        u = h * h
-        acc = np.zeros_like(h)
-        for m in range(_J1_SERIES_TERMS - 1, -1, -1):
-            acc = _J1_SERIES_COEFF[m] - u * acc
-        out[small] = h * acc
-
-    big = ~small
-    if np.any(big):
-        xb = ax[big]
-        inv = 1.0 / xb
-        p = np.zeros_like(xb)
-        q = np.zeros_like(xb)
-        sign = 1.0
-        for m in range(0, 7):
-            p += sign * _J1_HANKEL[2 * m] * inv ** (2 * m)
-            if 2 * m + 1 < len(_J1_HANKEL):
-                q += sign * _J1_HANKEL[2 * m + 1] * inv ** (2 * m + 1)
-            sign = -sign
-        w = xb - 0.75 * math.pi
-        out[big] = np.sqrt(2.0 / (math.pi * xb)) * (
-            p * np.cos(w) - q * np.sin(w)
-        )
-
-    out *= np.sign(x)
-    return float(out[0]) if scalar else out
-
 
 # ---------------------------------------------------------------------------
 # Ball transforms
@@ -134,8 +65,12 @@ def hat_chi_ball(n: int, s):
             out[tiny] = 4.0 * math.pi * poly
     else:
         if np.any(big):
+            # imported here, not at module level: scipy.special costs about
+            # 0.2 s and 25 MB on import, which callers that never ask for
+            # the n = 2 transform should not pay
+            from scipy.special import j1
             sb = s[big]
-            out[big] = bessel_j1(2.0 * math.pi * sb) / sb
+            out[big] = j1(2.0 * math.pi * sb) / sb
         if np.any(tiny):
             st = s[tiny]
             v = (math.pi * st) ** 2
@@ -272,46 +207,22 @@ class SmoothedCount:
 
 
 def _shell_points(n: int, c: int) -> np.ndarray:
-    """Integer vectors with sup norm exactly c, shape (m, n)."""
-    full = np.arange(-c, c + 1)
-    inner = np.arange(-c + 1, c)
-    if n == 2:
-        a = np.empty((2 * full.size, 2), dtype=np.int64)
-        a[:full.size, 0] = c
-        a[:full.size, 1] = full
-        a[full.size:, 0] = -c
-        a[full.size:, 1] = full
-        b = np.empty((2 * inner.size, 2), dtype=np.int64)
-        b[:inner.size, 1] = c
-        b[:inner.size, 0] = inner
-        b[inner.size:, 1] = -c
-        b[inner.size:, 0] = inner
-        return np.vstack([a, b])
-    if n == 3:
-        blocks = []
-        g2, g3 = np.meshgrid(full, full, indexing="ij")
-        face = np.column_stack([np.empty_like(g2).ravel(),
-                                g2.ravel(), g3.ravel()])
-        for s in (c, -c):
-            f = face.copy()
-            f[:, 0] = s
-            blocks.append(f)
-        g1, g3 = np.meshgrid(inner, full, indexing="ij")
-        face = np.column_stack([g1.ravel(),
-                                np.empty_like(g1).ravel(), g3.ravel()])
-        for s in (c, -c):
-            f = face.copy()
-            f[:, 1] = s
-            blocks.append(f)
-        g1, g2 = np.meshgrid(inner, inner, indexing="ij")
-        face = np.column_stack([g1.ravel(), g2.ravel(),
-                                np.empty_like(g1).ravel()])
-        for s in (c, -c):
-            f = face.copy()
-            f[:, 2] = s
-            blocks.append(f)
-        return np.vstack(blocks)
-    raise ValueError("shell enumeration is implemented for n in {2, 3}")
+    """Integer vectors with sup norm exactly c, shape (m, n).
+
+    Face j holds the vectors with x_j = +-c whose earlier coordinates lie
+    in (-c, c) and whose later ones run over [-c, c], so every vector of
+    the shell lies on exactly one face.
+    """
+    faces = []
+    for j in range(n):
+        shape = (2 * c - 1,) * j + (1,) + (2 * c + 1,) * (n - 1 - j)
+        face = np.indices(shape).reshape(n, -1).T
+        face[:, :j] -= c - 1
+        face[:, j + 1:] -= c
+        for side in (c, -c):
+            face[:, j] = side
+            faces.append(face.copy())
+    return np.vstack(faces)
 
 
 def _shell_sum(basis: LatticeBasis, t: float, spec: MollifierSpec,
@@ -392,15 +303,6 @@ class SandwichResult:
     lower_tail: float
     upper_tail: float
     cutoff: int
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds, "status": self.status, "t": self.t,
-            "epsilon": self.epsilon, "shift": self.shift,
-            "count": self.count, "lower": self.lower, "upper": self.upper,
-            "lower_tail": self.lower_tail, "upper_tail": self.upper_tail,
-            "cutoff": self.cutoff,
-        }
 
 
 def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,

@@ -117,6 +117,8 @@ def _axis_rule(box_row, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor_value(spec: OscillatorySpec, t: float, ms) -> complex:
+    """Tensor Gauss-Legendre sum: a 2-d slab over axes 0 and 1, repeated
+    for every node of the remaining axes."""
     kt, lt = spec.transformed()
     K2 = kt ** 2
     L2 = lt ** 2
@@ -125,28 +127,24 @@ def _tensor_value(spec: OscillatorySpec, t: float, ms) -> complex:
     nl = float(spec.l @ spec.l)
     s1, s2 = spec.signs
     rules = [_axis_rule(spec.psi_intervals[i], ms[i]) for i in range(spec.n)]
-    if spec.n == 2:
-        (x1, w1), (x2, w2) = rules
-        qk = K2[0] * x1[:, None] + K2[1] * x2[None, :]
-        ql = L2[0] * x1[:, None] + L2[1] * x2[None, :]
-        rk = np.sqrt(qk)
-        rl = np.sqrt(ql)
-        amp = (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
-        ph = 2.0 * math.pi * t * (s1 * rk + s2 * rl)
-        val = np.sum((w1[:, None] * w2[None, :]) * amp
-                     * (np.cos(ph) + 1j * np.sin(ph)))
-        return complex(val)
-    (x1, w1), (x2, w2), (x3, w3) = rules
+    (x1, w1), (x2, w2) = rules[:2]
     base_k = K2[0] * x1[:, None] + K2[1] * x2[None, :]
     base_l = L2[0] * x1[:, None] + L2[1] * x2[None, :]
     w12 = w1[:, None] * w2[None, :]
+    # offsets and weights of the nodes of axes 2 and up; for n = 2 one
+    # node that adds nothing
+    dk, dl, wr = np.zeros(1), np.zeros(1), np.ones(1)
+    for (x, w), a, b in zip(rules[2:], K2[2:], L2[2:]):
+        dk = (dk[:, None] + a * x).ravel()
+        dl = (dl[:, None] + b * x).ravel()
+        wr = (wr[:, None] * w).ravel()
     total = 0.0 + 0.0j
-    for x3j, w3j in zip(x3, w3):
-        qk = base_k + K2[2] * x3j
-        ql = base_l + L2[2] * x3j
+    for dkj, dlj, wj in zip(dk, dl, wr):
+        qk = base_k + dkj
+        ql = base_l + dlj
         amp = (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
         ph = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
-        total += w3j * np.sum(w12 * amp * (np.cos(ph) + 1j * np.sin(ph)))
+        total += wj * np.sum(w12 * amp * (np.cos(ph) + 1j * np.sin(ph)))
     return complex(total)
 
 
@@ -269,14 +267,6 @@ class HessianReport:
     max_ratio: float
     disc: float
 
-    def to_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid),
-                "measured": list(self.measured),
-                "bound": list(self.bound),
-                "ratios": list(self.ratios),
-                "max_ratio": self.max_ratio,
-                "disc": self.disc}
-
 
 def hessian_bound_check(spec: OscillatorySpec, t_grid,
                         **quad_kwargs) -> HessianReport:
@@ -320,15 +310,6 @@ class VdcReport:
     max_ratio: float
     c0: float
     total_variation: float
-
-    def to_dict(self) -> dict:
-        return {"t_grid": list(self.t_grid),
-                "measured": list(self.measured),
-                "bound": list(self.bound),
-                "ratios": list(self.ratios),
-                "max_ratio": self.max_ratio,
-                "c0": self.c0,
-                "total_variation": self.total_variation}
 
 
 def _eval_on(f, x: np.ndarray) -> np.ndarray:

@@ -91,16 +91,6 @@ class CompactFamilySpec:
     def n(self) -> int:
         return self.center.shape[0]
 
-    def to_dict(self) -> dict:
-        return {"center": self.center.tolist(), "delta": self.delta,
-                "det_floor": self.det_floor}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CompactFamilySpec":
-        return cls(center=np.array(d["center"], dtype=float),
-                   delta=float(d["delta"]),
-                   det_floor=float(d["det_floor"]))
-
 
 def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
     """Draw center + uniform entrywise noise, rejecting small determinants."""
@@ -131,10 +121,6 @@ class HaarSamplerConfig:
             raise ValueError("Haar sampling is implemented for n in {2, 3}")
         if not (0 < self.ratio_bound <= 1):
             raise ValueError("ratio bound must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "ratio_bound": self.ratio_bound,
-                "eta_halfwidth": self.eta_halfwidth}
 
 
 def _haar_rotation(gen: np.random.Generator, n: int) -> np.ndarray:

@@ -113,6 +113,44 @@ class TestTheorem1:
                "family": {"delta": -0.05, "det_floor": 0.3}}
         assert run(tmp_path, "theorem1", cfg) == CONFIG
 
+    def test_center_as_basis_object(self, tmp_path):
+        family = {"delta": 0.05, "det_floor": 0.3}
+        cfg = {"n": 2, "t_grid": [4, 6, 9], "samples": 3, "seed": 5,
+               "family": family}
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(tmp_path, "theorem1", cfg, out=a) == OK
+        family["center"] = {"n": 2, "columns": [[1.0, 0.0], [0.0, 1.0]]}
+        assert run(tmp_path, "theorem1", cfg, out=b) == OK
+        assert ((a / "result.json").read_bytes()
+                == (b / "result.json").read_bytes())
+
+
+_FAMILY = {"delta": 0.05, "det_floor": 0.3}
+_THEOREM1 = {"n": 2, "t_grid": [4, 6, 9], "samples": 2, "seed": 5,
+             "family": _FAMILY}
+
+
+@pytest.mark.parametrize("command, cfg, code, message", [
+    ("count", {"basis": "identity", "n": 2, "t_grid": 5}, USAGE, "t_grid"),
+    ("theorem1", dict(_THEOREM1, t_grid=5), USAGE, "t_grid"),
+    ("theorem1", dict(_THEOREM1, family=3), USAGE, "family"),
+    ("theorem1", dict(_THEOREM1, family=dict(
+        _FAMILY, center={"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
+                                             [0, 0, 1]]})),
+     CONFIG, "dimension"),
+    ("theorem1", dict(_THEOREM1, band=0.5), USAGE, "band"),
+    ("theorem1", dict(_THEOREM1, band=[0.5]), USAGE, "band"),
+    ("fourier", {"n": 2, "s_grid": 1.0}, USAGE, "s_grid"),
+    ("vdc", {"phi": 1.0, "psi0": [1.0], "a": 0.0, "b": 1.0,
+             "t_grid": [5.0]}, USAGE, "phi"),
+], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
+        "family-not-object", "center-dimension", "scalar-band",
+        "short-band", "scalar-s-grid", "scalar-phi"])
+def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
+                                 message):
+    assert run(tmp_path, command, cfg) == code
+    assert message in capsys.readouterr().err
+
 
 class TestTheorem2:
     def test_small_run_keys(self, tmp_path, capsys):

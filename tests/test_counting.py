@@ -5,6 +5,7 @@ import pytest
 
 from latticeball import counting
 from latticeball.basis import LatticeBasis, identity_basis
+from latticeball.cli import _write_csv
 from latticeball.counting import (
     CountResult,
     ball_volume,
@@ -13,7 +14,6 @@ from latticeball.counting import (
     count_scan,
     error_term,
     unit_ball_volume,
-    write_count_csv,
 )
 from latticeball.sampling import HaarSamplerConfig, Seed, sample_haar_unimodular
 
@@ -132,7 +132,9 @@ class TestCountScan:
 class TestCsvEmission:
     def test_schema_and_precision(self, tmp_path):
         path = tmp_path / "scan.csv"
-        write_count_csv(count_scan(identity_basis(3), [1.0, 2.0]), path)
+        rows = [(r.t, r.count, r.volume, r.remainder)
+                for r in count_scan(identity_basis(3), [1.0, 2.0])]
+        _write_csv(path, ("t", "count", "volume", "remainder"), rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,count,volume,remainder"
         first = lines[1].split(",")

@@ -1,15 +1,21 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import latticeball
 from latticeball.basis import LatticeBasis, identity_basis
 from latticeball.counting import count_points
 from latticeball.fourier import (
     MollifierSpec,
-    bessel_j1,
+    _shell_points,
     hat_chi_ball,
     hat_chi_lattice,
     mollifier_hat,
@@ -38,27 +44,6 @@ def hat_chi_quadrature(n: int, s: float) -> float:
             lambda r: 2.0 * math.pi * r * special.j0(2.0 * math.pi * r * s),
             0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val
-
-
-class TestBesselJ1:
-    def test_zero(self):
-        assert bessel_j1(0.0) == 0.0
-
-    def test_leading_term(self):
-        assert bessel_j1(1e-6) == pytest.approx(5e-7, abs=1e-18)
-
-    def test_reference_value_at_one(self):
-        assert bessel_j1(1.0) == pytest.approx(0.4400505857449335, abs=1e-12)
-
-    def test_against_scipy_dense(self):
-        x = np.concatenate([np.linspace(0.0, 20.0, 4001),
-                            np.linspace(20.0, 1000.0, 4001)])
-        mine = np.array([bessel_j1(v) for v in x])
-        ref = special.j1(x)
-        assert np.max(np.abs(mine - ref)) < 1e-10
-
-    def test_odd_extension(self):
-        assert bessel_j1(-2.5) == -bessel_j1(2.5)
 
 
 class TestHatChiBall:
@@ -165,6 +150,16 @@ class TestMollifier:
         assert spec.rho0_hat(250.0) == 0.0
 
 
+class TestShellPoints:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_exact_sup_norm_shell(self, n, c):
+        K = _shell_points(n, c)
+        assert K.shape == ((2 * c + 1) ** n - (2 * c - 1) ** n, n)
+        assert np.all(np.max(np.abs(K), axis=1) == c)
+        assert np.unique(K, axis=0).shape[0] == K.shape[0]
+
+
 class TestSmoothedCount:
     def test_tail_covers_cutoff_gap(self):
         b = identity_basis(3)
@@ -222,7 +217,7 @@ class TestSandwich:
 
     def test_diagnostics_serialize(self):
         res = sandwich_check(identity_basis(2), 2.5, 0.2)
-        d = res.to_dict()
+        d = dataclasses.asdict(res)
         assert d["status"] == "holds"
         assert d["count"] == count_points(identity_basis(2), 2.5)
 
@@ -237,3 +232,15 @@ class TestSandwich:
             assert res.status in ("holds", "inconclusive")
             held += res.status == "holds"
         assert held >= 4
+
+
+def test_import_leaves_scipy_unloaded():
+    """hat_chi_ball imports scipy.special only when it needs J1: loading
+    scipy costs about 0.2 s and 25 MB, which `import latticeball` should
+    not pay."""
+    src = str(Path(latticeball.__file__).resolve().parents[1])
+    probe = "import sys, latticeball; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], check=True,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.stdout.strip() == "False"

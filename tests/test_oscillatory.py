@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -272,6 +273,6 @@ class TestVdc:
     def test_report_serializes(self):
         rep = vdc_check(lambda x: x, lambda x: np.ones_like(x),
                         0.0, 1.0, [5.0])
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) >= {"t_grid", "measured", "bound", "ratios",
                           "max_ratio", "c0", "total_variation"}

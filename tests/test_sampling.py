@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -56,7 +58,9 @@ class TestSampleCompact:
 
     def test_json_round_trip(self):
         spec = CompactFamilySpec(center=np.eye(2), delta=0.2, det_floor=0.3)
-        again = CompactFamilySpec.from_dict(spec.to_dict())
+        fields = dataclasses.asdict(spec)
+        fields["center"] = fields["center"].tolist()
+        again = CompactFamilySpec(**json.loads(json.dumps(fields)))
         assert np.array_equal(again.center, spec.center)
         assert again.delta == spec.delta
 
