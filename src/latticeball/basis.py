@@ -58,10 +58,15 @@ class LatticeBasis:
         arr = _as_square_float(self.entries)
         arr.setflags(write=False)
         d = float(np.linalg.det(arr))
-        scale = float(np.max(np.abs(arr)))
-        if scale == 0.0 or abs(d) < DET_GUARD * scale ** arr.shape[0]:
+        # Hadamard: |det| <= product of the column norms, with equality
+        # for orthogonal columns, so the ratio measures how far the
+        # columns are from dependent whatever their scale or shear;
+        # math.hypot over the rows is cheaper than numpy on a 3 x 3
+        volume = math.prod(map(math.hypot, *arr))
+        if not abs(d) > DET_GUARD * volume:
             raise SingularBasisError(
-                f"determinant {d:.3e} below guard for scale {scale:.3e}"
+                f"determinant {d:.3e} below guard for column-norm "
+                f"product {volume:.3e}"
             )
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "det", d)

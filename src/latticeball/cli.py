@@ -93,11 +93,22 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _number(value, key: str, kind=float):
+    """A config number as ``kind``.  A non-scalar (array, object, null)
+    is malformed input; a scalar that does not convert fails validation."""
+    try:
+        return kind(value)
+    except TypeError as exc:
+        raise InputError(f"{key!r} must be a number") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from exc
+
+
 def _parse_basis(spec, cfg: dict) -> LatticeBasis:
     """A basis given as "identity" (sized by the config's "n") or as a
     basis object {"n": ..., "columns": [...]}."""
     if spec == "identity":
-        return identity_basis(int(_require(cfg, "n")))
+        return identity_basis(_number(_require(cfg, "n"), "n", int))
     if isinstance(spec, dict):
         try:
             return basis_from_json(json.dumps(spec))
@@ -110,17 +121,14 @@ def _float_list(value, key: str) -> list:
     """A JSON array of numbers as floats; any other shape is malformed."""
     if not isinstance(value, list):
         raise InputError(f"{key!r} must be an array of numbers")
-    try:
-        return [float(v) for v in value]
-    except TypeError as exc:
-        raise InputError(f"{key!r} must be an array of numbers") from exc
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
 def _t_grid_from_config(cfg: dict) -> list:
     if "t_grid" in cfg:
         grid = _float_list(cfg["t_grid"], "t_grid")
     elif "t" in cfg:
-        grid = [float(cfg["t"])]
+        grid = [_number(cfg["t"], "t")]
     else:
         raise ConfigError("config needs 't' or 't_grid'")
     if not grid:
@@ -131,7 +139,7 @@ def _t_grid_from_config(cfg: dict) -> list:
 def _seed_from(cfg: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
-    return int(cfg.get("seed", 0))
+    return _number(cfg.get("seed", 0), "seed", int)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +164,9 @@ def _run_count(cfg: dict, args):
 
 
 def _run_theorem1(cfg: dict, args):
-    n = int(_require(cfg, "n"))
+    n = _number(_require(cfg, "n"), "n", int)
     grid = sorted(_t_grid_from_config(cfg))
-    samples = int(_require(cfg, "samples"))
+    samples = _number(_require(cfg, "samples"), "samples", int)
     master = _seed_from(cfg, args)
     fam = _require(cfg, "family")
     if not isinstance(fam, dict):
@@ -167,8 +175,9 @@ def _run_theorem1(cfg: dict, args):
     if center.n != n:
         raise ConfigError(f"family center has dimension {center.n}, not {n}")
     family = CompactFamilySpec(center=center.entries,
-                               delta=float(_require(fam, "delta")),
-                               det_floor=float(_require(fam, "det_floor")))
+                               delta=_number(_require(fam, "delta"), "delta"),
+                               det_floor=_number(_require(fam, "det_floor"),
+                                                 "det_floor"))
     band = cfg.get("band", {2: [0.3, 0.8], 3: [0.8, 1.3]}.get(n))
     if band is not None:
         band = _float_list(band, "band")
@@ -203,18 +212,19 @@ def _run_theorem1(cfg: dict, args):
 
 
 def _run_theorem2(cfg: dict, args):
-    n = int(_require(cfg, "n"))
+    n = _number(_require(cfg, "n"), "n", int)
     if n != 3:
         raise ConfigError("theorem2 supports n = 3 only (the second-moment "
                           "constant needs n >= 3 and the Haar sampler tops "
                           "out at 3)")
-    t = float(_require(cfg, "t"))
+    t = _number(_require(cfg, "t"), "t")
     if t < 2.0:
         raise ConfigError("theorem2 requires t >= 2")
-    samples = int(_require(cfg, "samples"))
+    samples = _number(_require(cfg, "samples"), "samples", int)
     master = _seed_from(cfg, args)
     if "ratio_bound" in cfg:
-        config = HaarSamplerConfig(n=n, ratio_bound=float(cfg["ratio_bound"]))
+        config = HaarSamplerConfig(
+            n=n, ratio_bound=_number(cfg["ratio_bound"], "ratio_bound"))
     else:
         config = HaarSamplerConfig(n=n)
 
@@ -247,10 +257,10 @@ def _run_theorem2(cfg: dict, args):
 
 
 def _run_cn(cfg: dict, args):
-    n = int(cfg.get("n", getattr(args, "n", None) or 0))
+    n = _number(cfg.get("n", getattr(args, "n", None) or 0), "n", int)
     if n == 0:
         raise ConfigError("cn needs n")
-    tol = float(cfg.get("tol", getattr(args, "tol", None) or 1e-10))
+    tol = _number(cfg.get("tol", getattr(args, "tol", None) or 1e-10), "tol")
     result = compute_cn(n, tol=tol)
     out = {"n": result.n, "value": result.value,
            "tail_bound": result.tail_bound,
@@ -259,14 +269,17 @@ def _run_cn(cfg: dict, args):
 
 
 def _run_fourier(cfg: dict, args):
-    n = int(cfg.get("n", getattr(args, "n", None) or 0))
+    n = _number(cfg.get("n", getattr(args, "n", None) or 0), "n", int)
     if n == 0:
         raise ConfigError("fourier needs n")
     if "s_grid" in cfg:
         s = np.asarray(_float_list(cfg["s_grid"], "s_grid"))
     else:
-        s_max = float(cfg.get("s_max", getattr(args, "s_max", None) or 10.0))
-        points = int(cfg.get("points", getattr(args, "points", None) or 201))
+        s_max = _number(
+            cfg.get("s_max", getattr(args, "s_max", None) or 10.0), "s_max")
+        points = _number(
+            cfg.get("points", getattr(args, "points", None) or 201),
+            "points", int)
         if points < 2 or s_max <= 0:
             raise ConfigError("fourier needs s_max > 0 and points >= 2")
         s = np.linspace(0.0, s_max, points)
@@ -280,15 +293,15 @@ def _run_fourier(cfg: dict, args):
 
 def _run_sandwich(cfg: dict, args):
     basis = _parse_basis(_require(cfg, "basis"), cfg)
-    t = float(_require(cfg, "t"))
-    epsilon = float(_require(cfg, "epsilon"))
-    result = sandwich_check(basis, t, epsilon,
-                            tail_target=float(cfg.get("tail_target", 1e-3)))
+    t = _number(_require(cfg, "t"), "t")
+    epsilon = _number(_require(cfg, "epsilon"), "epsilon")
+    tail_target = _number(cfg.get("tail_target", 1e-3), "tail_target")
+    result = sandwich_check(basis, t, epsilon, tail_target=tail_target)
     return dataclasses.asdict(result), None
 
 
 def _osc_spec_from_config(cfg: dict) -> OscillatorySpec:
-    n = int(_require(cfg, "n"))
+    n = _number(_require(cfg, "n"), "n", int)
     try:
         return OscillatorySpec(
             n=n,
@@ -310,7 +323,8 @@ def _run_oscint(cfg: dict, args):
     grid = sorted(_t_grid_from_config(cfg))
     kwargs = {}
     if "points_per_period" in cfg:
-        kwargs["points_per_period"] = float(cfg["points_per_period"])
+        kwargs["points_per_period"] = _number(cfg["points_per_period"],
+                                              "points_per_period")
     if "points_per_axis" in cfg:
         kwargs["points_per_axis"] = cfg["points_per_axis"]
     if cfg.get("hessian", False):
@@ -334,10 +348,10 @@ def _run_oscint(cfg: dict, args):
 def _run_vdc(cfg: dict, args):
     phi_coeffs = _float_list(_require(cfg, "phi"), "phi")
     psi_coeffs = _float_list(_require(cfg, "psi0"), "psi0")
-    a = float(_require(cfg, "a"))
-    b = float(_require(cfg, "b"))
+    a = _number(_require(cfg, "a"), "a")
+    b = _number(_require(cfg, "b"), "b")
     grid = sorted(_t_grid_from_config(cfg))
-    grid_points = int(cfg.get("grid_points", 4097))
+    grid_points = _number(cfg.get("grid_points", 4097), "grid_points", int)
 
     def phi(x, _c=phi_coeffs):
         return np.polynomial.polynomial.polyval(x, _c)

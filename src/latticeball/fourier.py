@@ -11,6 +11,13 @@ rho0 proportional to exp(-1/(1-x^2)) on [-1, 1] and unit mass.  Its 1-d
 transform is tabulated once on a uniform grid and interpolated cubically;
 the table is shared between instances because it does not depend on the
 smoothing width.
+
+The smoothed counts are Poisson sums over sup-norm shells of integer
+frequencies.  On shell c every coordinate has |k_j| in 0..c, so the 1-d
+transform is interpolated once per integer coordinate, c + 1 values, and
+gathered into the product over the shell's points.  The lower and upper
+sums of the sandwich share one pass over the shells: points, mollifier
+weights and dual norms are built once per shell and summed at both radii.
 """
 
 from __future__ import annotations
@@ -90,6 +97,10 @@ def hat_chi_lattice(basis: LatticeBasis, k) -> float:
 # ---------------------------------------------------------------------------
 
 _GL_NODES = 1024
+# table rows built per matrix product: each cos temporary holds
+# _TABLE_CHUNK x _GL_NODES floats (8 MB), and larger chunks raise the
+# process's peak memory without building the table any faster
+_TABLE_CHUNK = 1000
 _table_cache: dict[tuple, tuple[np.ndarray, float]] = {}
 
 
@@ -119,7 +130,7 @@ def _rho0_table(y_max: float, step: float) -> tuple[np.ndarray, float]:
     mass = 2.0 * float(np.sum(f))    # integral of the unnormalized bump
     ys = np.arange(0.0, y_max + step / 2, step)
     table = np.empty(ys.size)
-    chunk = 20000
+    chunk = _TABLE_CHUNK
     for lo in range(0, ys.size, chunk):
         yy = ys[lo:lo + chunk]
         table[lo:lo + chunk] = np.cos(
@@ -225,48 +236,62 @@ def _shell_points(n: int, c: int) -> np.ndarray:
     return np.vstack(faces)
 
 
-def _shell_sum(basis: LatticeBasis, t: float, spec: MollifierSpec,
-               table: np.ndarray, step: float, W: np.ndarray,
-               c: int) -> tuple[float, float]:
-    """Signed and absolute sums of the Poisson terms on one sup-norm shell."""
-    K = _shell_points(basis.n, c).astype(float)
+def _shell_rho(K: np.ndarray, c: int, epsilon: float, table: np.ndarray,
+               step: float) -> np.ndarray:
+    """Mollifier transform prod_j rho0_hat(epsilon k_j) at each point k of
+    shell c, gathered from rho0_hat at the c + 1 values |k_j| = 0..c."""
+    r = _rho0_hat(epsilon * np.arange(c + 1), table, step)
+    A = np.abs(K)
     rho = np.ones(K.shape[0])
-    for j in range(basis.n):
-        rho *= _rho0_hat(spec.epsilon * K[:, j], table, step)
-    live = np.abs(rho) > 0.0
-    if not np.any(live):
-        return 0.0, 0.0
-    K = K[live]
-    rho = rho[live]
-    s = np.sqrt(np.sum((K @ W.T) ** 2, axis=1))
-    chi = hat_chi_ball(basis.n, t * s)
-    terms = (t ** basis.n / abs(basis.det)) * chi * rho
-    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+    for j in range(K.shape[1]):
+        rho *= r[A[:, j]]
+    return rho
 
 
-def _poisson_sum(basis: LatticeBasis, t: float, spec: MollifierSpec,
-                 cutoff: int, tail_target: float | None = None
-                 ) -> tuple[float, float, int]:
-    """Main term plus shells 1..cutoff.
+def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
+                  cutoff: int, tail_target: float | None = None
+                  ) -> list[tuple[float, float, int]]:
+    """Main term plus shells 1..cutoff, at each radius of ``radii``.
 
-    With a tail target the accumulation stops early once two consecutive
-    shell estimates sit below the target.  Returns (value, tail, shells).
+    A shell's points, mollifier weights and dual norms do not depend on
+    the radius, so each shell is built once and summed at every radius
+    still accumulating.  With a tail target a radius stops once two
+    consecutive shell estimates sit below the target.  Returns
+    (value, tail, shells) per radius.
     """
     table, step = _rho0_table(spec.y_max, spec.step)
+    n = basis.n
     W = np.linalg.inv(basis.entries).T
-    value = t ** basis.n * unit_ball_volume(basis.n) / abs(basis.det)
-    tail = math.inf
-    below = 0
-    c = 0
+    values = [t ** n * unit_ball_volume(n) / abs(basis.det) for t in radii]
+    tails = [math.inf] * len(radii)
+    shells = [0] * len(radii)
+    below = [0] * len(radii)
+    active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
-        signed, absolute = _shell_sum(basis, t, spec, table, step, W, c)
-        value += signed
-        tail = 2.0 * absolute
-        if tail_target is not None:
-            below = below + 1 if tail < tail_target else 0
-            if below >= 2:
-                break
-    return value, tail, c
+        K = _shell_points(n, c)
+        rho = _shell_rho(K, c, spec.epsilon, table, step)
+        live = np.abs(rho) > 0.0
+        any_live = bool(np.any(live))
+        if any_live:
+            rho = rho[live]
+            s = np.sqrt(np.sum((K[live].astype(float) @ W.T) ** 2, axis=1))
+        for i in active:
+            t = radii[i]
+            signed = absolute = 0.0
+            if any_live:
+                chi = hat_chi_ball(n, t * s)
+                terms = (t ** n / abs(basis.det)) * chi * rho
+                signed = float(np.sum(terms))
+                absolute = float(np.sum(np.abs(terms)))
+            values[i] += signed
+            tails[i] = 2.0 * absolute
+            shells[i] = c
+            if tail_target is not None:
+                below[i] = below[i] + 1 if tails[i] < tail_target else 0
+        active = [i for i in active if below[i] < 2]
+        if not active:
+            break
+    return list(zip(values, tails, shells))
 
 
 def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
@@ -285,7 +310,7 @@ def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
         spec = MollifierSpec.build(basis.n, epsilon)
     elif spec.n != basis.n or spec.epsilon != epsilon:
         raise ValueError("mollifier spec does not match the call")
-    value, tail, _ = _poisson_sum(basis, t, spec, cutoff)
+    [(value, tail, _)] = _poisson_sums(basis, (t,), spec, cutoff)
     return SmoothedCount(t=t, epsilon=epsilon, cutoff=cutoff, value=value,
                          tail_estimate=tail, tail_warning=tail > 0.5)
 
@@ -325,10 +350,8 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
         )
     spec = MollifierSpec.build(basis.n, epsilon)
     exact = count_points(basis, t)
-    lower, lo_tail, c1 = _poisson_sum(basis, t - shift, spec, max_cutoff,
-                                      tail_target)
-    upper, hi_tail, c2 = _poisson_sum(basis, t + shift, spec, max_cutoff,
-                                      tail_target)
+    (lower, lo_tail, c1), (upper, hi_tail, c2) = _poisson_sums(
+        basis, (t - shift, t + shift), spec, max_cutoff, tail_target)
     cutoff = max(c1, c2)
     if lo_tail > tail_target or hi_tail > tail_target:
         return SandwichResult(None, "inconclusive", t, epsilon, shift,

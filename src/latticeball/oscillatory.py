@@ -17,12 +17,15 @@ second, finer resolution before it is returned.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import transformed_coords
+
+logger = logging.getLogger(__name__)
 
 
 class ResolutionError(RuntimeError):
@@ -313,12 +316,15 @@ class VdcReport:
 
 
 def _eval_on(f, x: np.ndarray) -> np.ndarray:
+    """f on every point of x: one vectorized call, or point by point when
+    that call raises or returns the wrong shape."""
     try:
         vals = np.asarray(f(x), dtype=float)
         if vals.shape == x.shape:
             return vals
-    except Exception:
-        pass
+    except Exception as exc:
+        logger.warning("vectorized call of %r raised %s; evaluating "
+                       "%d points one by one", f, type(exc).__name__, x.size)
     return np.array([float(f(v)) for v in x])
 
 

@@ -35,6 +35,23 @@ class TestLatticeBasis:
         with pytest.raises(SingularBasisError):
             LatticeBasis(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    def test_unimodular_shear_accepted(self):
+        # determinant 1, entries up to 9e4: the guard must not read a
+        # large entry as near-singularity
+        shear = np.array([[1.0, 300.0, 90000.0], [0.0, 1.0, 300.0],
+                          [0.0, 0.0, 1.0]])
+        assert LatticeBasis(shear).det == pytest.approx(1.0)
+
+    def test_nearly_dependent_columns_rejected(self):
+        # third column = first + second, off the plane by 1e-15
+        with pytest.raises(SingularBasisError):
+            LatticeBasis(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                                   [0.0, 0.0, 1e-15]]))
+
+    def test_zero_column_rejected(self):
+        with pytest.raises(SingularBasisError):
+            LatticeBasis(np.array([[1.0, 0.0], [2.0, 0.0]]))
+
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             LatticeBasis(np.array([[2.0]]))

@@ -143,9 +143,17 @@ _THEOREM1 = {"n": 2, "t_grid": [4, 6, 9], "samples": 2, "seed": 5,
     ("fourier", {"n": 2, "s_grid": 1.0}, USAGE, "s_grid"),
     ("vdc", {"phi": 1.0, "psi0": [1.0], "a": 0.0, "b": 1.0,
              "t_grid": [5.0]}, USAGE, "phi"),
+    ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": None},
+     USAGE, "'epsilon'"),
+    ("theorem1", dict(_THEOREM1, n=[3]), USAGE, "'n'"),
+    ("theorem1", dict(_THEOREM1, samples=[2]), USAGE, "'samples'"),
+    ("count", {"basis": "identity", "n": 2, "t_grid": [4.0, None]}, USAGE,
+     "'t_grid[1]'"),
+    ("count", {"basis": "identity", "n": 2, "t": "far"}, CONFIG, "'t'"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
-        "short-band", "scalar-s-grid", "scalar-phi"])
+        "short-band", "scalar-s-grid", "scalar-phi", "null-epsilon",
+        "array-n", "array-samples", "null-in-t-grid", "string-t"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code

@@ -11,11 +11,18 @@ import pytest
 from scipy import integrate, special
 
 import latticeball
+from latticeball import fourier
 from latticeball.basis import LatticeBasis, identity_basis
 from latticeball.counting import count_points
 from latticeball.fourier import (
     MollifierSpec,
+    SandwichResult,
+    SmoothedCount,
+    _poisson_sums,
+    _rho0_hat,
+    _rho0_table,
     _shell_points,
+    _shell_rho,
     hat_chi_ball,
     hat_chi_lattice,
     mollifier_hat,
@@ -149,6 +156,16 @@ class TestMollifier:
         spec = MollifierSpec.build(3, 0.1)
         assert spec.rho0_hat(250.0) == 0.0
 
+    def test_table_independent_of_chunk(self, monkeypatch):
+        """The build works through the table in row chunks to bound its
+        temporaries; its chunks give the bytes of 20000-row chunks."""
+        built = []
+        for chunk in (20_000, fourier._TABLE_CHUNK):
+            monkeypatch.setattr(fourier, "_table_cache", {})
+            monkeypatch.setattr(fourier, "_TABLE_CHUNK", chunk)
+            built.append(_rho0_table(40.0, 1e-3)[0].tobytes())
+        assert built[0] == built[1]
+
 
 class TestShellPoints:
     @pytest.mark.parametrize("n", [2, 3])
@@ -158,6 +175,83 @@ class TestShellPoints:
         assert K.shape == ((2 * c + 1) ** n - (2 * c - 1) ** n, n)
         assert np.all(np.max(np.abs(K), axis=1) == c)
         assert np.unique(K, axis=0).shape[0] == K.shape[0]
+
+
+class TestShellRho:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3, 1.7, 30.0])
+    def test_gather_equals_per_point_product(self, n, epsilon):
+        table, step = _rho0_table(200.0, 1e-3)
+        for c in range(1, 9):
+            K = _shell_points(n, c)
+            expected = np.ones(K.shape[0])
+            for j in range(n):
+                expected *= _rho0_hat(epsilon * K[:, j].astype(float),
+                                      table, step)
+            assert np.all(_shell_rho(K, c, epsilon, table, step)
+                          == expected)
+
+    def test_shell_past_table_end(self):
+        # epsilon * c = 240 lies past the table end (200): no live point
+        table, step = _rho0_table(200.0, 1e-3)
+        rho = _shell_rho(_shell_points(3, 8), 8, 30.0, table, step)
+        assert not np.any(np.abs(rho) > 0.0)
+
+
+_SHEAR2 = np.array([[0.9, -0.15], [0.2, 1.1]])
+_SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
+
+# Values from the implementation that summed each radius in its own pass
+# and interpolated rho0_hat at every point of a shell, with the shells at
+# which the lower and upper sums stopped.  Sharing the pass changes the
+# order of no floating-point operation, so they must match to the bit.
+_PINNED_SANDWICH = [
+    (_SHEAR3, 2.7, 0.2, (20, 22), SandwichResult(
+        holds=True, status="holds", t=2.7, epsilon=0.2,
+        shift=0.3660395432662094, count=83, lower=55.27470638433732,
+        upper=117.34921732512827, lower_tail=0.0009998335494033075,
+        upper_tail=0.000570128074996867, cutoff=22)),
+    (np.eye(3), 2.5, 0.3, (13, 15), SandwichResult(
+        holds=True, status="holds", t=2.5, epsilon=0.3,
+        shift=0.5196152422706631, count=81, lower=29.59560776301296,
+        upper=111.56030443632052, lower_tail=0.0009546774609830202,
+        upper_tail=0.0007725075350542517, cutoff=15)),
+    (_SHEAR2, 2.6, 0.25, (14, 16), SandwichResult(
+        holds=True, status="holds", t=2.6, epsilon=0.25,
+        shift=0.39536979972681396, count=21, lower=14.770942091270456,
+        upper=28.127299819279575, lower_tail=0.0008753447438100378,
+        upper_tail=0.0005613790654497292, cutoff=16)),
+    (np.eye(2), 3.7, 0.05, (52, 51), SandwichResult(
+        holds=True, status="holds", t=3.7, epsilon=0.05,
+        shift=0.07071067811865477, count=45, lower=43.98744197611615,
+        upper=45.000037218600966, lower_tail=0.00021247944140483403,
+        upper_tail=0.00033087878199162277, cutoff=52)),
+]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("M, t, eps, shells, expected", _PINNED_SANDWICH)
+    def test_sandwich_bit_identical(self, M, t, eps, shells, expected):
+        basis = LatticeBasis(M)
+        assert sandwich_check(basis, t, eps) == expected
+        lower, upper = _poisson_sums(
+            basis, (t - expected.shift, t + expected.shift),
+            MollifierSpec.build(basis.n, eps), 10_000, 1e-3)
+        assert (lower[2], upper[2]) == shells
+        assert (lower[0], upper[0]) == (expected.lower, expected.upper)
+
+    def test_smoothed_count_bit_identical(self):
+        assert smoothed_count(identity_basis(3), 2.5, 0.2, 12) == (
+            SmoothedCount(t=2.5, epsilon=0.2, cutoff=12,
+                          value=74.0978781822307,
+                          tail_estimate=0.013466253457536072,
+                          tail_warning=False))
+        basis = LatticeBasis(np.array([[1.1, 0.2], [-0.1, 0.9]]))
+        assert smoothed_count(basis, 3.0, 0.1, 20) == (
+            SmoothedCount(t=3.0, epsilon=0.1, cutoff=20,
+                          value=27.241028922062842,
+                          tail_estimate=0.00018791566287323897,
+                          tail_warning=False))
 
 
 class TestSmoothedCount:
