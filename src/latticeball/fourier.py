@@ -6,15 +6,16 @@ need: a trig expression for n = 3 and J1(2 pi s)/s for n = 2, with J1
 taken from scipy.special.  Near s = 0 both give way to a short even
 Taylor series.
 
-The mollifier is a normalized product bump: rho(x) = prod rho0(x_i) with
-rho0 proportional to exp(-1/(1-x^2)) on [-1, 1] and unit mass.  Its 1-d
-transform is tabulated once on a uniform grid and interpolated cubically;
-the table is shared between instances because it does not depend on the
-smoothing width.
+The mollifier is a product B-spline: rho(x) = prod rho0(x_i), where rho0
+is the order-8 B-spline on [-1, 1], the 8-fold convolution of the uniform
+density on [-1/8, 1/8].  It is nonnegative with unit mass and support
+[-1, 1], and its 1-d transform has the closed form
+(sin(2 pi y/8) / (2 pi y/8))^8, which lies between 0 and
+min(1, (4 / (pi |y|))^8).
 
 The smoothed counts are Poisson sums over sup-norm shells of integer
 frequencies.  On shell c every coordinate has |k_j| in 0..c, so the 1-d
-transform is interpolated once per integer coordinate, c + 1 values, and
+transform is evaluated once per integer coordinate, c + 1 values, and
 gathered into the product over the shell's points.  The lower and upper
 sums of the sandwich share one pass over the shells: points, mollifier
 weights and dual norms are built once per shell and summed at both radii.
@@ -96,106 +97,40 @@ def hat_chi_lattice(basis: LatticeBasis, k) -> float:
 # Mollifier
 # ---------------------------------------------------------------------------
 
-_GL_NODES = 1024
-# table rows built per matrix product: each cos temporary holds
-# _TABLE_CHUNK x _GL_NODES floats (8 MB), and larger chunks raise the
-# process's peak memory without building the table any faster
-_TABLE_CHUNK = 1000
-_table_cache: dict[tuple, tuple[np.ndarray, float]] = {}
+# order of the B-spline rho0; an even order keeps its transform
+# nonnegative
+_ORDER = 8
 
 
-def _bump_raw(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    return out
-
-
-def _rho0_table(y_max: float, step: float) -> tuple[np.ndarray, float]:
-    """Values of the 1-d bump transform on 0, step, 2*step, ..., y_max.
-
-    Fixed-order Gauss-Legendre replaces adaptive quadrature so the whole
-    table comes out of a handful of matrix products; the rule has several
-    nodes per oscillation even at y_max and is checked against adaptive
-    integration in the test suite.
-    """
-    key = (round(y_max, 12), round(step, 15), _GL_NODES)
-    if key in _table_cache:
-        return _table_cache[key]
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_NODES)
-    x = 0.5 * (nodes + 1.0)          # [0, 1]
-    w = 0.5 * weights
-    f = w * _bump_raw(x)
-    mass = 2.0 * float(np.sum(f))    # integral of the unnormalized bump
-    ys = np.arange(0.0, y_max + step / 2, step)
-    table = np.empty(ys.size)
-    chunk = _TABLE_CHUNK
-    for lo in range(0, ys.size, chunk):
-        yy = ys[lo:lo + chunk]
-        table[lo:lo + chunk] = np.cos(
-            2.0 * math.pi * np.outer(yy, x)
-        ) @ f
-    table *= 2.0 / mass
-    table.setflags(write=False)
-    _table_cache[key] = (table, step)
-    return table, step
-
-
-def _rho0_hat(y: np.ndarray, table: np.ndarray, step: float) -> np.ndarray:
-    """Cubic interpolation of the tabulated transform; zero past the end."""
-    y = np.abs(y)
-    out = np.zeros_like(y)
-    inside = y <= (table.size - 1) * step
-    if not np.any(inside):
-        return out
-    u = y[inside] / step
-    i = np.clip(np.floor(u).astype(np.int64), 1, table.size - 3)
-    f = u - i
-    pm1 = table[i - 1]
-    p0 = table[i]
-    p1 = table[i + 1]
-    p2 = table[i + 2]
-    out[inside] = (
-        pm1 * (-f * (f - 1.0) * (f - 2.0) / 6.0)
-        + p0 * ((f + 1.0) * (f - 1.0) * (f - 2.0) / 2.0)
-        + p1 * (-(f + 1.0) * f * (f - 2.0) / 2.0)
-        + p2 * ((f + 1.0) * f * (f - 1.0) / 6.0)
-    )
-    return out
+def _rho0_hat(y):
+    """(sin(2 pi y/m) / (2 pi y/m))^m with m = _ORDER, the transform of
+    the order-m B-spline on [-1, 1]; np.sinc(x) is sin(pi x) / (pi x)."""
+    return np.sinc(2.0 * np.asarray(y, dtype=float) / _ORDER) ** _ORDER
 
 
 @dataclass(frozen=True)
 class MollifierSpec:
-    """Product bump mollifier at a given smoothing width."""
+    """Product B-spline mollifier at a given smoothing width."""
 
     n: int
     epsilon: float
     support_radius: float
-    y_max: float
-    step: float
 
     @classmethod
-    def build(cls, n: int, epsilon: float, y_max: float = 200.0,
-              step: float = 1e-3) -> "MollifierSpec":
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+    def build(cls, n: int, epsilon: float) -> "MollifierSpec":
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValueError("epsilon must be positive and finite")
         if n < 2:
             raise ValueError("dimension must be at least 2")
-        _rho0_table(y_max, step)  # warm the shared table
-        return cls(n=n, epsilon=epsilon, support_radius=math.sqrt(n),
-                   y_max=y_max, step=step)
+        return cls(n=n, epsilon=epsilon, support_radius=math.sqrt(n))
 
     def rho0_hat(self, y):
-        table, step = _rho0_table(self.y_max, self.step)
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        out = _rho0_hat(np.atleast_1d(y), table, step)
-        return float(out[0]) if scalar else out
+        out = _rho0_hat(y)
+        return float(out) if out.ndim == 0 else out
 
 
 def mollifier_hat(spec: MollifierSpec, xi) -> float:
-    """Transform of the product bump at frequency vector xi."""
+    """Transform of the product mollifier at frequency vector xi."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (spec.n,):
         raise ValueError(f"expected frequency vector of length {spec.n}")
@@ -236,11 +171,10 @@ def _shell_points(n: int, c: int) -> np.ndarray:
     return np.vstack(faces)
 
 
-def _shell_rho(K: np.ndarray, c: int, epsilon: float, table: np.ndarray,
-               step: float) -> np.ndarray:
+def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
     """Mollifier transform prod_j rho0_hat(epsilon k_j) at each point k of
     shell c, gathered from rho0_hat at the c + 1 values |k_j| = 0..c."""
-    r = _rho0_hat(epsilon * np.arange(c + 1), table, step)
+    r = _rho0_hat(epsilon * np.arange(c + 1))
     A = np.abs(K)
     rho = np.ones(K.shape[0])
     for j in range(K.shape[1]):
@@ -259,7 +193,6 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
     consecutive shell estimates sit below the target.  Returns
     (value, tail, shells) per radius.
     """
-    table, step = _rho0_table(spec.y_max, spec.step)
     n = basis.n
     W = np.linalg.inv(basis.entries).T
     values = [t ** n * unit_ball_volume(n) / abs(basis.det) for t in radii]
@@ -269,22 +202,13 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
         K = _shell_points(n, c)
-        rho = _shell_rho(K, c, spec.epsilon, table, step)
-        live = np.abs(rho) > 0.0
-        any_live = bool(np.any(live))
-        if any_live:
-            rho = rho[live]
-            s = np.sqrt(np.sum((K[live].astype(float) @ W.T) ** 2, axis=1))
+        rho = _shell_rho(K, c, spec.epsilon)
+        s = np.sqrt(np.sum((K.astype(float) @ W.T) ** 2, axis=1))
         for i in active:
             t = radii[i]
-            signed = absolute = 0.0
-            if any_live:
-                chi = hat_chi_ball(n, t * s)
-                terms = (t ** n / abs(basis.det)) * chi * rho
-                signed = float(np.sum(terms))
-                absolute = float(np.sum(np.abs(terms)))
-            values[i] += signed
-            tails[i] = 2.0 * absolute
+            terms = (t ** n / abs(basis.det)) * hat_chi_ball(n, t * s) * rho
+            values[i] += float(np.sum(terms))
+            tails[i] = 2.0 * float(np.sum(np.abs(terms)))
             shells[i] = c
             if tail_target is not None:
                 below[i] = below[i] + 1 if tails[i] < tail_target else 0
@@ -340,8 +264,14 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
     support radius sqrt(n) * epsilon stretched by the largest singular
     value of the basis (for the identity this is just sqrt(n) * epsilon).
     Inconclusive truncation is reported as status "inconclusive" with
-    holds = None rather than a verdict.
+    holds = None rather than a verdict.  A non-finite input, or a
+    nonpositive epsilon or tail target, is rejected before any shell is
+    summed: the early stop would never fire.
     """
+    if not all(map(math.isfinite, (t, epsilon, tail_target))):
+        raise ValueError("t, epsilon and tail_target must be finite")
+    if epsilon <= 0 or tail_target <= 0:
+        raise ValueError("epsilon and tail_target must be positive")
     sigma = float(np.linalg.norm(basis.entries, 2))
     shift = epsilon * math.sqrt(basis.n) * sigma
     if t - shift <= 0:

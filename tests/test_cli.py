@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from latticeball import fourier
 from latticeball.cli import main
 
 # exit codes under test
@@ -222,6 +223,29 @@ class TestSandwich:
     def test_oversized_epsilon(self, tmp_path):
         cfg = {"basis": "identity", "n": 3, "t": 1.0, "epsilon": 0.9}
         assert run(tmp_path, "sandwich", cfg) == CONFIG
+
+    @pytest.mark.parametrize("n, fields, message", [
+        (2, {"tail_target": 0}, "positive"),
+        (3, {"tail_target": -1e-3}, "positive"),
+        (2, {"epsilon": "nan"}, "finite"),
+        (3, {"epsilon": -0.1}, "positive"),
+        (2, {"t": "inf"}, "finite"),
+        (3, {"tail_target": "nan"}, "finite"),
+    ], ids=["zero-target", "negative-target", "nan-epsilon",
+            "negative-epsilon", "infinite-t", "nan-target"])
+    def test_never_converging_inputs_rejected(self, tmp_path, capsys,
+                                               monkeypatch, n, fields,
+                                               message):
+        """The early stop can never fire on these inputs, so they are
+        refused before a single shell is built."""
+        def no_shells(*args):
+            raise AssertionError("a Poisson shell was built")
+
+        monkeypatch.setattr(fourier, "_shell_points", no_shells)
+        cfg = dict({"basis": "identity", "n": n, "t": 2.5, "epsilon": 0.1},
+                   **fields)
+        assert run(tmp_path, "sandwich", cfg) == CONFIG
+        assert message in capsys.readouterr().err
 
 
 OSC_BASE = {

@@ -8,10 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, interpolate, special
 
 import latticeball
-from latticeball import fourier
 from latticeball.basis import LatticeBasis, identity_basis
 from latticeball.counting import count_points
 from latticeball.fourier import (
@@ -20,7 +19,6 @@ from latticeball.fourier import (
     SmoothedCount,
     _poisson_sums,
     _rho0_hat,
-    _rho0_table,
     _shell_points,
     _shell_rho,
     hat_chi_ball,
@@ -135,36 +133,22 @@ class TestMollifier:
         assert mollifier_hat(spec, np.array([y, 0.0, 0.0])) == pytest.approx(
             spec.rho0_hat(y), rel=1e-12)
 
-    def test_table_against_quadrature(self):
+    def test_against_bspline_quadrature(self):
+        """The closed form against the transform integral of scipy's
+        order-8 B-spline on [-1, 1], normalized to unit mass."""
+        knots = np.linspace(-1.0, 1.0, 9)
+        spline = interpolate.BSpline.basis_element(knots)
+        mass = spline.integrate(-1.0, 1.0)
         spec = MollifierSpec.build(2, 0.1)
-        norm, _ = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)),
-                                 -1.0, 1.0, epsabs=1e-14)
         for y in (0.3, 1.0, 2.7, 5.5, 13.2, 40.1):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                ref, _ = integrate.quad(
-                    lambda x: math.exp(-1.0 / (1.0 - x * x))
-                    * math.cos(2.0 * math.pi * y * x) / norm,
-                    -1.0, 1.0, epsabs=1e-14)
-            assert spec.rho0_hat(y) == pytest.approx(ref, abs=1e-10)
+            ref, _ = integrate.quad(
+                lambda x: float(spline(x)) * math.cos(2.0 * math.pi * y * x),
+                -1.0, 1.0, points=knots[1:-1], epsabs=1e-14, limit=400)
+            assert spec.rho0_hat(y) == pytest.approx(ref / mass, abs=1e-12)
 
     def test_support_radius(self):
         assert MollifierSpec.build(3, 0.05).support_radius == pytest.approx(
             math.sqrt(3.0))
-
-    def test_vanishes_past_table(self):
-        spec = MollifierSpec.build(3, 0.1)
-        assert spec.rho0_hat(250.0) == 0.0
-
-    def test_table_independent_of_chunk(self, monkeypatch):
-        """The build works through the table in row chunks to bound its
-        temporaries; its chunks give the bytes of 20000-row chunks."""
-        built = []
-        for chunk in (20_000, fourier._TABLE_CHUNK):
-            monkeypatch.setattr(fourier, "_table_cache", {})
-            monkeypatch.setattr(fourier, "_TABLE_CHUNK", chunk)
-            built.append(_rho0_table(40.0, 1e-3)[0].tobytes())
-        assert built[0] == built[1]
 
 
 class TestShellPoints:
@@ -181,51 +165,70 @@ class TestShellRho:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3, 1.7, 30.0])
     def test_gather_equals_per_point_product(self, n, epsilon):
-        table, step = _rho0_table(200.0, 1e-3)
         for c in range(1, 9):
             K = _shell_points(n, c)
             expected = np.ones(K.shape[0])
             for j in range(n):
-                expected *= _rho0_hat(epsilon * K[:, j].astype(float),
-                                      table, step)
-            assert np.all(_shell_rho(K, c, epsilon, table, step)
-                          == expected)
-
-    def test_shell_past_table_end(self):
-        # epsilon * c = 240 lies past the table end (200): no live point
-        table, step = _rho0_table(200.0, 1e-3)
-        rho = _shell_rho(_shell_points(3, 8), 8, 30.0, table, step)
-        assert not np.any(np.abs(rho) > 0.0)
+                expected *= _rho0_hat(epsilon * K[:, j].astype(float))
+            assert np.all(_shell_rho(K, c, epsilon) == expected)
 
 
 _SHEAR2 = np.array([[0.9, -0.15], [0.2, 1.1]])
 _SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
 
-# Values from the implementation that summed each radius in its own pass
-# and interpolated rho0_hat at every point of a shell, with the shells at
-# which the lower and upper sums stopped.  Sharing the pass changes the
-# order of no floating-point operation, so they must match to the bit.
+# Values of the B-spline mollifier's sums, with the shells at which the
+# lower and upper sums stopped.  The first and last triples stop their two
+# radii at different shells, so each radius's early stop is pinned apart.
 _PINNED_SANDWICH = [
-    (_SHEAR3, 2.7, 0.2, (20, 22), SandwichResult(
+    (_SHEAR3, 2.7, 0.2, (15, 16), SandwichResult(
         holds=True, status="holds", t=2.7, epsilon=0.2,
-        shift=0.3660395432662094, count=83, lower=55.27470638433732,
-        upper=117.34921732512827, lower_tail=0.0009998335494033075,
-        upper_tail=0.000570128074996867, cutoff=22)),
-    (np.eye(3), 2.5, 0.3, (13, 15), SandwichResult(
+        shift=0.3660395432662094, count=83, lower=57.05609117106955,
+        upper=116.2605917129404, lower_tail=0.00013972693304124475,
+        upper_tail=2.1785562348491116e-05, cutoff=16)),
+    (np.eye(3), 2.5, 0.3, (11, 11), SandwichResult(
         holds=True, status="holds", t=2.5, epsilon=0.3,
-        shift=0.5196152422706631, count=81, lower=29.59560776301296,
-        upper=111.56030443632052, lower_tail=0.0009546774609830202,
-        upper_tail=0.0007725075350542517, cutoff=15)),
-    (_SHEAR2, 2.6, 0.25, (14, 16), SandwichResult(
+        shift=0.5196152422706631, count=81, lower=29.190831570025534,
+        upper=111.69704154376095, lower_tail=3.9236796441502015e-06,
+        upper_tail=7.045918436965067e-06, cutoff=11)),
+    (_SHEAR2, 2.6, 0.25, (12, 12), SandwichResult(
         holds=True, status="holds", t=2.6, epsilon=0.25,
-        shift=0.39536979972681396, count=21, lower=14.770942091270456,
-        upper=28.127299819279575, lower_tail=0.0008753447438100378,
-        upper_tail=0.0005613790654497292, cutoff=16)),
-    (np.eye(2), 3.7, 0.05, (52, 51), SandwichResult(
+        shift=0.39536979972681396, count=21, lower=14.411876097603237,
+        upper=28.04277533853243, lower_tail=3.322171864084772e-05,
+        upper_tail=3.004321921207207e-05, cutoff=12)),
+    (np.eye(2), 3.7, 0.05, (51, 50), SandwichResult(
         holds=True, status="holds", t=3.7, epsilon=0.05,
-        shift=0.07071067811865477, count=45, lower=43.98744197611615,
-        upper=45.000037218600966, lower_tail=0.00021247944140483403,
-        upper_tail=0.00033087878199162277, cutoff=52)),
+        shift=0.07071067811865477, count=45, lower=44.92419504279837,
+        upper=44.999927218696484, lower_tail=0.0005369131778430033,
+        upper_tail=0.0008221039977066087, cutoff=51)),
+]
+
+
+# perfbench `sandwich` items (seeds 2, 2, 2, 5, 6, 8, 9) that the earlier
+# exp(-1/(1 - x^2)) bump mollifier reported as "violated": the two-shell
+# early stop fired while the truncation error was still above the tail
+# estimate, by up to 35 times.
+_EARLY_STOP_ITEMS = [
+    ([[0.9254043754057729, -0.09997222629558929],
+      [0.1733167578766095, 1.1527884351973037]],
+     2.5069471833150043, 0.02988375720378733),
+    ([[1.1530866301749128, -0.1451821943326917],
+      [0.15634031217153888, 0.8711508670766199]],
+     2.524160585430363, 0.04972713112901741),
+    ([[1.055024704331497, -0.03202445730616624],
+      [-0.13350253546861096, 1.0965971643753778]],
+     2.983540941842537, 0.06971583074703655),
+    ([[1.0505364008611568, 0.15157613463861552],
+      [-0.019621610716500953, 0.9732902827860739]],
+     4.080157166079138, 0.04197591314225695),
+    ([[0.8391136066077822, 0.0654389407662418],
+      [0.009547263203433964, 0.9936913025006114]],
+     2.7818196410617833, 0.03931999103101985),
+    ([[0.94593509804832, 0.046089339474132046],
+      [0.03229825844034892, 1.091149561328135]],
+     4.344432638903319, 0.030333782471203663),
+    ([[0.905181021003548, 0.025409592933867936],
+      [0.020919202761845723, 1.0498269240982085]],
+     3.674502748370788, 0.022402750478082687),
 ]
 
 
@@ -243,15 +246,36 @@ class TestPinnedValues:
     def test_smoothed_count_bit_identical(self):
         assert smoothed_count(identity_basis(3), 2.5, 0.2, 12) == (
             SmoothedCount(t=2.5, epsilon=0.2, cutoff=12,
-                          value=74.0978781822307,
-                          tail_estimate=0.013466253457536072,
+                          value=78.30774113339403,
+                          tail_estimate=0.015733531954508898,
                           tail_warning=False))
         basis = LatticeBasis(np.array([[1.1, 0.2], [-0.1, 0.9]]))
         assert smoothed_count(basis, 3.0, 0.1, 20) == (
             SmoothedCount(t=3.0, epsilon=0.1, cutoff=20,
-                          value=27.241028922062842,
-                          tail_estimate=0.00018791566287323897,
+                          value=27.01662082118946,
+                          tail_estimate=0.013370097056457171,
                           tail_warning=False))
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("M, t, eps", _EARLY_STOP_ITEMS)
+    def test_former_false_violations_hold(self, M, t, eps):
+        assert sandwich_check(LatticeBasis(np.array(M)), t, eps).status == (
+            "holds")
+
+    @pytest.mark.parametrize(
+        "M, t, eps", _EARLY_STOP_ITEMS + [p[:3] for p in _PINNED_SANDWICH])
+    def test_tail_covers_truncation(self, M, t, eps):
+        """Each radius's reported tail bounds the change from summing on
+        to four times the shell where it stopped."""
+        basis = LatticeBasis(np.array(M))
+        spec = MollifierSpec.build(basis.n, eps)
+        shift = sandwich_check(basis, t, eps).shift
+        radii = (t - shift, t + shift)
+        stopped = _poisson_sums(basis, radii, spec, 10_000, 1e-3)
+        for radius, (value, tail, shells) in zip(radii, stopped):
+            [(far, _, _)] = _poisson_sums(basis, (radius,), spec, 4 * shells)
+            assert abs(value - far) <= tail
 
 
 class TestSmoothedCount:
