@@ -16,9 +16,13 @@ min(1, (4 / (pi |y|))^8).
 The smoothed counts are Poisson sums over sup-norm shells of integer
 frequencies.  On shell c every coordinate has |k_j| in 0..c, so the 1-d
 transform is evaluated once per integer coordinate, c + 1 values, and
-gathered into the product over the shell's points.  The lower and upper
-sums of the sandwich share one pass over the shells: points, mollifier
-weights and dual norms are built once per shell and summed at both radii.
+gathered into the product over the shell's points.  Every term is even
+in k, so each shell is evaluated on one point of every +-k pair (half its
+points) and mirrored into the full shell's order before summing, which
+leaves the sums bit-identical to summing over the full shell.  The lower
+and upper sums of the sandwich share one pass over the shells: points,
+mollifier weights and dual norms are built once per shell and summed at
+both radii.
 """
 
 from __future__ import annotations
@@ -152,23 +156,35 @@ class SmoothedCount:
     tail_warning: bool
 
 
-def _shell_points(n: int, c: int) -> np.ndarray:
-    """Integer vectors with sup norm exactly c, shape (m, n).
+def _shell_points(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half of the integer vectors with sup norm exactly c, one of every
+    +-k pair, and the gather index that rebuilds the full shell.
 
-    Face j holds the vectors with x_j = +-c whose earlier coordinates lie
-    in (-c, c) and whose later ones run over [-c, c], so every vector of
-    the shell lies on exactly one face.
+    Face j of the shell holds the vectors with x_j = +-c whose earlier
+    coordinates lie in (-c, c) and whose later ones run over [-c, c], so
+    every vector of the shell lies on exactly one face.  K, shape (m, n),
+    holds the x_j = +c side of each face in lexicographic order.  The
+    x_j = -c side is that block negated and reversed, so in the full shell
+    [face_0(+c), face_0(-c), face_1(+c), ...] the i-th point is
+    +-K[index[i]]: each block of K followed by its reverse.
     """
-    faces = []
+    faces, index, start = [], [], 0
     for j in range(n):
         shape = (2 * c - 1,) * j + (1,) + (2 * c + 1,) * (n - 1 - j)
         face = np.indices(shape).reshape(n, -1).T
         face[:, :j] -= c - 1
+        face[:, j] = c
         face[:, j + 1:] -= c
-        for side in (c, -c):
-            face[:, j] = side
-            faces.append(face.copy())
-    return np.vstack(faces)
+        faces.append(face)
+        rows = np.arange(start, start + face.shape[0])
+        index += [rows, rows[::-1]]
+        start += face.shape[0]
+    return np.vstack(faces), np.concatenate(index)
+
+
+def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """|W k| at each row k of K."""
+    return np.sqrt(np.sum((K.astype(float) @ W.T) ** 2, axis=1))
 
 
 def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
@@ -189,9 +205,12 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
 
     A shell's points, mollifier weights and dual norms do not depend on
     the radius, so each shell is built once and summed at every radius
-    still accumulating.  With a tail target a radius stops once two
-    consecutive shell estimates sit below the target.  Returns
-    (value, tail, shells) per radius.
+    still accumulating.  Every term is even in k, so the weights, dual
+    norms and ball transforms are evaluated on one point of each +-k pair
+    and gathered into the full shell's order before summing: the sums add
+    the same numbers in the same sequence as over the full shell.  With a
+    tail target a radius stops once two consecutive shell estimates sit
+    below the target.  Returns (value, tail, shells) per radius.
     """
     n = basis.n
     W = np.linalg.inv(basis.entries).T
@@ -201,12 +220,13 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
     below = [0] * len(radii)
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
-        K = _shell_points(n, c)
+        K, index = _shell_points(n, c)
         rho = _shell_rho(K, c, spec.epsilon)
-        s = np.sqrt(np.sum((K.astype(float) @ W.T) ** 2, axis=1))
+        s = _dual_norms(K, W)
         for i in active:
             t = radii[i]
-            terms = (t ** n / abs(basis.det)) * hat_chi_ball(n, t * s) * rho
+            half = (t ** n / abs(basis.det)) * hat_chi_ball(n, t * s) * rho
+            terms = half[index]
             values[i] += float(np.sum(terms))
             tails[i] = 2.0 * float(np.sum(np.abs(terms)))
             shells[i] = c
@@ -226,8 +246,8 @@ def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
     The frequency sum is truncated at sup norm ``cutoff``; the reported
     tail estimate is twice the absolute sum over the outermost shell.
     """
-    if t <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("radius must be positive and finite")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
     if spec is None:

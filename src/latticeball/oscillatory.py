@@ -17,6 +17,7 @@ second, finer resolution before it is returned.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -112,8 +113,21 @@ def weight(spec: OscillatorySpec, a) -> float:
     return (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
 
 
-def _axis_rule(box_row, m: int) -> tuple[np.ndarray, np.ndarray]:
+# an entry holds 16 m bytes, so 128 entries of the largest rules
+# (m up to 2000 coarse, 2500 fine) stay under 5 MB
+@functools.lru_cache(maxsize=128)
+def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared
+    between callers: the eigenvalue solve behind them costs O(m^2) and
+    up, and the same m recurs across axes, rules and calls."""
     nodes, weights = np.polynomial.legendre.leggauss(m)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _axis_rule(box_row, m: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = _leggauss(m)
     lo, hi = box_row
     half = (hi - lo) / 2.0
     return lo + half * (nodes + 1.0), half * weights
@@ -215,7 +229,7 @@ def I_kl_eta_average(spec: OscillatorySpec, t: float, nodes: int = 8,
                      **quad_kwargs) -> complex:
     """Average of I_kl over the unipotent slab [1, 2) per eta axis."""
     d = spec.eta.size
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _leggauss(nodes)
     x = 1.5 + 0.5 * x
     w = 0.5 * w
     grids = np.meshgrid(*([x] * d), indexing="ij")
@@ -362,7 +376,7 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid,
     for t in ts:
         cycles = abs(t * (phv[-1] - phv[0])) / (2.0 * math.pi)
         panels = max(4, math.ceil(cycles / 3.0))
-        nodes, wts = np.polynomial.legendre.leggauss(32)
+        nodes, wts = _leggauss(32)
         edges = np.linspace(a, b, panels + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1] - edges[0]) / 2.0

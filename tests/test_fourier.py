@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -11,12 +12,14 @@ import pytest
 from scipy import integrate, interpolate, special
 
 import latticeball
+from latticeball import fourier
 from latticeball.basis import LatticeBasis, identity_basis
 from latticeball.counting import count_points
 from latticeball.fourier import (
     MollifierSpec,
     SandwichResult,
     SmoothedCount,
+    _dual_norms,
     _poisson_sums,
     _rho0_hat,
     _shell_points,
@@ -151,14 +154,65 @@ class TestMollifier:
             math.sqrt(3.0))
 
 
+def full_shell(n: int, c: int) -> np.ndarray:
+    """Every integer vector with sup norm exactly c, in face order: face j
+    (x_j = +c, then x_j = -c, earlier coordinates inside (-c, c)) after
+    face j - 1, each face in lexicographic order."""
+    box = list(itertools.product(range(-c, c + 1), repeat=n))
+    return np.array([v for j in range(n) for side in (c, -c) for v in box
+                     if v[j] == side and max(map(abs, v[:j]), default=0) < c])
+
+
+def face_signs(F: np.ndarray, c: int) -> np.ndarray:
+    """Sign of the first coordinate of each row that reaches +-c."""
+    first = np.argmax(np.abs(F) == c, axis=1)
+    return np.sign(F[np.arange(F.shape[0]), first])
+
+
 class TestShellPoints:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("c", range(1, 7))
     def test_exact_sup_norm_shell(self, n, c):
-        K = _shell_points(n, c)
-        assert K.shape == ((2 * c + 1) ** n - (2 * c - 1) ** n, n)
+        """One point of every +-k pair of the shell, and nothing else."""
+        K, _ = _shell_points(n, c)
+        assert K.shape == (((2 * c + 1) ** n - (2 * c - 1) ** n) // 2, n)
         assert np.all(np.max(np.abs(K), axis=1) == c)
-        assert np.unique(K, axis=0).shape[0] == K.shape[0]
+        rows = set(map(tuple, K.tolist()))
+        negated = set(map(tuple, (-K).tolist()))
+        assert len(rows) == K.shape[0]
+        assert not rows & negated
+        assert rows | negated == {
+            v for v in itertools.product(range(-c, c + 1), repeat=n)
+            if max(map(abs, v)) == c}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_index_rebuilds_full_shell_order(self, n, c):
+        """+-K[index] lists the full shell in face order, the order whose
+        sums the half shell must reproduce bit for bit."""
+        K, index = _shell_points(n, c)
+        F = full_shell(n, c)
+        assert np.array_equal(face_signs(F, c)[:, None] * K[index], F)
+        assert np.array_equal(np.bincount(index), np.full(K.shape[0], 2))
+
+    def test_dual_norms_even_bitwise(self):
+        """The mirror rests on |W k| and |W (-k)| being equal bit for bit,
+        and on the half shell's norms equal to the full shell's rows."""
+        rng = np.random.default_rng(7)
+        for trial in range(20):
+            n = 2 + trial % 2
+            M = np.eye(n) + rng.uniform(-0.2, 0.2, (n, n))
+            W = np.linalg.inv(LatticeBasis(M).entries).T
+            for c in range(1, 31):
+                K, index = _shell_points(n, c)
+                s = _dual_norms(K, W)
+                assert np.array_equal(_dual_norms(-K, W), s)
+                # the first copy of each row in the full shell is +k, the
+                # second -k (test_index_rebuilds_full_shell_order)
+                sign = -np.ones(index.size)
+                sign[np.unique(index, return_index=True)[1]] = 1.0
+                F = sign[:, None] * K[index]
+                assert np.array_equal(_dual_norms(F, W), s[index])
 
 
 class TestShellRho:
@@ -166,7 +220,7 @@ class TestShellRho:
     @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3, 1.7, 30.0])
     def test_gather_equals_per_point_product(self, n, epsilon):
         for c in range(1, 9):
-            K = _shell_points(n, c)
+            K, _ = _shell_points(n, c)
             expected = np.ones(K.shape[0])
             for j in range(n):
                 expected *= _rho0_hat(epsilon * K[:, j].astype(float))
@@ -309,6 +363,17 @@ class TestSmoothedCount:
             sm = smoothed_count(b, t, eps, 400)
             last = abs(sm.value - exact)
         assert last < 0.5
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, monkeypatch, t):
+        """A NaN or infinite radius would sum every shell to the cutoff and
+        report a NaN tail as no warning; it is refused before any shell."""
+        def no_shells(*args):
+            raise AssertionError("a Poisson shell was built")
+
+        monkeypatch.setattr(fourier, "_shell_points", no_shells)
+        with pytest.raises(ValueError, match="finite"):
+            smoothed_count(identity_basis(3), t, 0.1, 3)
 
     def test_tail_warning_flag(self):
         b = identity_basis(3)

@@ -12,6 +12,7 @@ from latticeball.oscillatory import (
     OscillatorySpec,
     ResolutionError,
     _eval_on,
+    _leggauss,
     discriminant,
     hessian_bound_check,
     phase,
@@ -171,6 +172,18 @@ class TestIkl:
         avg = I_kl_eta_average(s, 5.0, nodes=4)
         assert abs(avg.imag) < 1e-12
         assert avg.real > 0.0
+
+
+class TestLeggauss:
+    @pytest.mark.parametrize("m", [2, 17, 300])
+    def test_cached_rule_is_numpys_read_only(self, m):
+        nodes, weights = _leggauss(m)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        again = _leggauss(m)
+        assert again[0] is nodes and again[1] is weights
 
 
 class TestDiscriminant:
