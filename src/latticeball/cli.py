@@ -21,6 +21,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -94,14 +95,26 @@ def _require(cfg: dict, key: str):
 
 
 def _number(value, key: str, kind=float):
-    """A config number as ``kind``.  A non-scalar (array, object, null)
-    is malformed input; a scalar that does not convert fails validation."""
+    """A config number as ``kind`` (float or int).  A non-scalar (array,
+    object, null) is malformed input; a scalar that does not convert, is
+    not finite, or is not integral where an int is asked for fails
+    validation."""
+    if kind is int and isinstance(value, int):
+        # as given: float() would round a seed above 2**53
+        return int(value)
     try:
-        return kind(value)
+        x = float(value)
     except TypeError as exc:
         raise InputError(f"{key!r} must be a number") from exc
     except ValueError as exc:
         raise ConfigError(f"{key!r}: {exc}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{key!r} must be finite, not {value!r}")
+    if kind is int:
+        if not x.is_integer():
+            raise ConfigError(f"{key!r} must be an integer, not {value!r}")
+        return int(x)
+    return x
 
 
 def _parse_basis(spec, cfg: dict) -> LatticeBasis:
@@ -136,10 +149,15 @@ def _t_grid_from_config(cfg: dict) -> list:
     return grid
 
 
+def _setting(cfg: dict, args, key: str, default):
+    """The command-line flag for ``key`` when given, else the config
+    value, else ``default``."""
+    flag = getattr(args, key, None)
+    return flag if flag is not None else cfg.get(key, default)
+
+
 def _seed_from(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    return _number(cfg.get("seed", 0), "seed", int)
+    return _number(_setting(cfg, args, "seed", 0), "seed", int)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +275,10 @@ def _run_theorem2(cfg: dict, args):
 
 
 def _run_cn(cfg: dict, args):
-    n = _number(cfg.get("n", getattr(args, "n", None) or 0), "n", int)
+    n = _number(_setting(cfg, args, "n", 0), "n", int)
     if n == 0:
         raise ConfigError("cn needs n")
-    tol = _number(cfg.get("tol", getattr(args, "tol", None) or 1e-10), "tol")
+    tol = _number(_setting(cfg, args, "tol", 1e-10), "tol")
     result = compute_cn(n, tol=tol)
     out = {"n": result.n, "value": result.value,
            "tail_bound": result.tail_bound,
@@ -269,17 +287,17 @@ def _run_cn(cfg: dict, args):
 
 
 def _run_fourier(cfg: dict, args):
-    n = _number(cfg.get("n", getattr(args, "n", None) or 0), "n", int)
+    n = _number(_setting(cfg, args, "n", 0), "n", int)
     if n == 0:
         raise ConfigError("fourier needs n")
-    if "s_grid" in cfg:
+    # --s-max or --points asks for the even grid over a config's s_grid
+    if "s_grid" in cfg and args.s_max is None and args.points is None:
         s = np.asarray(_float_list(cfg["s_grid"], "s_grid"))
+        if s.size == 0:
+            raise ConfigError("s_grid is empty")
     else:
-        s_max = _number(
-            cfg.get("s_max", getattr(args, "s_max", None) or 10.0), "s_max")
-        points = _number(
-            cfg.get("points", getattr(args, "points", None) or 201),
-            "points", int)
+        s_max = _number(_setting(cfg, args, "s_max", 10.0), "s_max")
+        points = _number(_setting(cfg, args, "points", 201), "points", int)
         if points < 2 or s_max <= 0:
             raise ConfigError("fourier needs s_max > 0 and points >= 2")
         s = np.linspace(0.0, s_max, points)
@@ -326,8 +344,17 @@ def _run_oscint(cfg: dict, args):
         kwargs["points_per_period"] = _number(cfg["points_per_period"],
                                               "points_per_period")
     if "points_per_axis" in cfg:
-        kwargs["points_per_axis"] = cfg["points_per_axis"]
-    if cfg.get("hessian", False):
+        m = cfg["points_per_axis"]
+        if isinstance(m, list):
+            m = [_number(v, f"points_per_axis[{i}]", int)
+                 for i, v in enumerate(m)]
+        else:
+            m = _number(m, "points_per_axis", int)
+        kwargs["points_per_axis"] = m
+    hessian = cfg.get("hessian", False)
+    if not isinstance(hessian, bool):
+        raise InputError("'hessian' must be true or false")
+    if hessian:
         report = hessian_bound_check(spec, grid, **kwargs)
         out = dataclasses.asdict(report)
         rows = list(zip(report.t_grid, report.measured, report.bound,
@@ -348,6 +375,8 @@ def _run_oscint(cfg: dict, args):
 def _run_vdc(cfg: dict, args):
     phi_coeffs = _float_list(_require(cfg, "phi"), "phi")
     psi_coeffs = _float_list(_require(cfg, "psi0"), "psi0")
+    if not phi_coeffs or not psi_coeffs:
+        raise ConfigError("phi and psi0 need at least one coefficient")
     a = _number(_require(cfg, "a"), "a")
     b = _number(_require(cfg, "b"), "b")
     grid = sorted(_t_grid_from_config(cfg))

@@ -198,10 +198,11 @@ def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
     return rho
 
 
-def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
-                  cutoff: int, tail_target: float | None = None
+def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
+                  tail_target: float | None = None
                   ) -> list[tuple[float, float, int]]:
-    """Main term plus shells 1..cutoff, at each radius of ``radii``.
+    """Main term plus shells 1..cutoff, at each radius of ``radii``, for
+    the mollifier of width ``epsilon``.
 
     A shell's points, mollifier weights and dual norms do not depend on
     the radius, so each shell is built once and summed at every radius
@@ -221,7 +222,7 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
         K, index = _shell_points(n, c)
-        rho = _shell_rho(K, c, spec.epsilon)
+        rho = _shell_rho(K, c, epsilon)
         s = _dual_norms(K, W)
         for i in active:
             t = radii[i]
@@ -239,8 +240,7 @@ def _poisson_sums(basis: LatticeBasis, radii, spec: MollifierSpec,
 
 
 def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
-                   cutoff: int, spec: MollifierSpec | None = None
-                   ) -> SmoothedCount:
+                   cutoff: int) -> SmoothedCount:
     """Poisson-summation value of the mollified count at radius t.
 
     The frequency sum is truncated at sup norm ``cutoff``; the reported
@@ -248,13 +248,11 @@ def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("radius must be positive and finite")
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    if spec is None:
-        spec = MollifierSpec.build(basis.n, epsilon)
-    elif spec.n != basis.n or spec.epsilon != epsilon:
-        raise ValueError("mollifier spec does not match the call")
-    [(value, tail, _)] = _poisson_sums(basis, (t,), spec, cutoff)
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError("epsilon must be positive and finite")
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError("cutoff must be an integer of at least 1")
+    [(value, tail, _)] = _poisson_sums(basis, (t,), epsilon, cutoff)
     return SmoothedCount(t=t, epsilon=epsilon, cutoff=cutoff, value=value,
                          tail_estimate=tail, tail_warning=tail > 0.5)
 
@@ -274,9 +272,13 @@ class SandwichResult:
     cutoff: int
 
 
+# outermost shell a sandwich sum may reach before it is reported
+# inconclusive
+_MAX_CUTOFF = 10_000
+
+
 def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
-                   tail_target: float = 1e-3, max_cutoff: int = 10_000
-                   ) -> SandwichResult:
+                   tail_target: float = 1e-3) -> SandwichResult:
     """Check N(t - d) <= N(t) <= N(t + d) for the smoothed counts.
 
     The mollifier lives on the integer side of Poisson summation, so the
@@ -298,10 +300,9 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
         raise ValueError(
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
         )
-    spec = MollifierSpec.build(basis.n, epsilon)
     exact = count_points(basis, t)
     (lower, lo_tail, c1), (upper, hi_tail, c2) = _poisson_sums(
-        basis, (t - shift, t + shift), spec, max_cutoff, tail_target)
+        basis, (t - shift, t + shift), epsilon, _MAX_CUTOFF, tail_target)
     cutoff = max(c1, c2)
     if lo_tail > tail_target or hi_tail > tail_target:
         return SandwichResult(None, "inconclusive", t, epsilon, shift,

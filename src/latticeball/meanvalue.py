@@ -14,8 +14,6 @@ cutoff.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,15 +122,9 @@ class ExperimentStats:
 
 
 def thread_count() -> int:
-    """Sampler threads for mc_stats: LATTICEBALL_THREADS, default 1.  The
-    samplers are Python code that holds the interpreter lock, so extra
-    threads only contend for it; one thread measured fastest."""
-    env = os.environ.get("LATTICEBALL_THREADS", "")
-    if env.strip():
-        k = int(env)
-        if k < 1:
-            raise ValueError("LATTICEBALL_THREADS must be positive")
-        return k
+    """Always 1: mc_stats draws its samples on the calling thread.  Kept
+    only because perfbench/run.py reads it for its provenance record; it
+    goes when that call does."""
     return 1
 
 
@@ -140,22 +132,15 @@ def mc_stats(sampler, t: float, samples: int, seed: Seed) -> ExperimentStats:
     """Remainder statistics over ``samples`` independent draws.
 
     sampler is any callable Seed -> LatticeBasis.  Sample i always uses
-    seed.child(i); the samples are drawn in index order (on
-    thread_count() pool threads when that is above 1) and then counted in
-    one count_many batch, followed by a single ordered reduction, so the
-    numbers are identical for every thread count.
+    seed.child(i); the samples are drawn in index order on the calling
+    thread, counted in one count_many batch and reduced in that order, so
+    the numbers depend only on the sampler, t, samples and seed.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     if t < 0:
         raise ValueError("radius must be nonnegative")
-    seeds = [seed.child(i) for i in range(samples)]
-    workers = thread_count()
-    if workers == 1:
-        bases = [sampler(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bases = list(pool.map(sampler, seeds))
+    bases = [sampler(seed.child(i)) for i in range(samples)]
     vol = np.array([ball_volume(X.n, t, X.det) for X in bases])
     E = count_many(bases, t) - vol
     counts = E + vol

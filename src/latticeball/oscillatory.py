@@ -35,6 +35,8 @@ class ResolutionError(RuntimeError):
 
 _MAX_NODES_PER_AXIS = 2000
 _MAX_TOTAL_POINTS = 3.0e8
+# coarse and fine tensor rules must agree to this times the box volume
+_TARGET_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -182,13 +184,12 @@ def _auto_nodes(spec: OscillatorySpec, t: float,
 
 
 def I_kl(spec: OscillatorySpec, t: float, points_per_axis=None,
-         points_per_period: float = 40.0,
-         target_rel: float = 1e-6) -> complex:
+         points_per_period: float = 40.0) -> complex:
     """The oscillatory integral at parameter t.
 
     Node counts per axis are supplied or derived from the phase
     gradient; the value is recomputed on a finer rule and the two must
-    agree to target_rel times the box volume, otherwise ResolutionError.
+    agree to _TARGET_REL times the box volume, otherwise ResolutionError.
     """
     if t < 0 or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative")
@@ -217,10 +218,10 @@ def I_kl(spec: OscillatorySpec, t: float, points_per_axis=None,
     fine_val = _tensor_value(spec, t, fine)
     box = spec.psi_intervals
     box_vol = float(np.prod(box[:, 1] - box[:, 0]))
-    if abs(fine_val - coarse_val) > target_rel * box_vol:
+    if abs(fine_val - coarse_val) > _TARGET_REL * box_vol:
         raise ResolutionError(
             f"quadrature not converged: |delta| = {abs(fine_val - coarse_val):.3e} "
-            f"exceeds {target_rel:.1e} * box volume {box_vol:.3e}"
+            f"exceeds {_TARGET_REL:.1e} * box volume {box_vol:.3e}"
         )
     return fine_val
 
@@ -352,6 +353,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid,
     """
     if not (b > a):
         raise ValueError("need b > a")
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")

@@ -5,7 +5,7 @@ Randomness contract: every draw is a pure function of a Seed, which
 names a counter-based stream (Philox keyed by master and stream).  A
 Monte Carlo experiment gives sample i the stream ``base_stream + i``,
 so any subset of samples can be regenerated independently and results
-never depend on evaluation order or thread count.
+never depend on evaluation order.
 
 Haar sampling:
 
@@ -114,7 +114,6 @@ def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
 class HaarSamplerConfig:
     n: int
     ratio_bound: float = SIEGEL_RATIO
-    eta_halfwidth: float = 0.5
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -161,8 +160,7 @@ def sample_haar_unimodular(config: HaarSamplerConfig,
         v2 = (2.0 * s2 - 2.0 * s1) / 3.0
         a = np.array([math.exp(v1), math.exp(v2), math.exp(-v1 - v2)])
         A = np.diag(1.0 / np.sqrt(a))
-        h = config.eta_halfwidth
-        eta = gen.uniform(-h, h, 3)
+        eta = gen.uniform(-0.5, 0.5, 3)
         N = np.array([[1.0, eta[0], eta[1]],
                       [0.0, 1.0, eta[2]],
                       [0.0, 0.0, 1.0]])

@@ -5,6 +5,7 @@ import pytest
 
 from latticeball import fourier
 from latticeball.cli import main
+from latticeball.meanvalue import compute_cn
 
 # exit codes under test
 OK, USAGE, CONFIG, CALIBRATION, RESOLUTION = 0, 2, 3, 4, 5
@@ -130,6 +131,15 @@ _FAMILY = {"delta": 0.05, "det_floor": 0.3}
 _THEOREM1 = {"n": 2, "t_grid": [4, 6, 9], "samples": 2, "seed": 5,
              "family": _FAMILY}
 
+OSC_BASE = {
+    "n": 3, "k": [1, 2, 1], "l": [2, -1, 1], "signs": [1, -1],
+    "eta": [0.3, -0.2, 0.5],
+    "psi_intervals": [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
+    "points_per_period": 10,
+}
+_VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
+        "t_grid": [5.0]}
+
 
 @pytest.mark.parametrize("command, cfg, code, message", [
     ("count", {"basis": "identity", "n": 2, "t_grid": 5}, USAGE, "t_grid"),
@@ -151,10 +161,25 @@ _THEOREM1 = {"n": 2, "t_grid": [4, 6, 9], "samples": 2, "seed": 5,
     ("count", {"basis": "identity", "n": 2, "t_grid": [4.0, None]}, USAGE,
      "'t_grid[1]'"),
     ("count", {"basis": "identity", "n": 2, "t": "far"}, CONFIG, "'t'"),
+    ("fourier", {"n": 3, "s_grid": []}, CONFIG, "s_grid"),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0], points_per_axis=[None, 20, 20]),
+     USAGE, "'points_per_axis[0]'"),
+    ("vdc", dict(_VDC, grid_points=0), CONFIG, "grid_points"),
+    ("vdc", dict(_VDC, grid_points=1), CONFIG, "grid_points"),
+    ("vdc", dict(_VDC, phi=[]), CONFIG, "phi"),
+    ("count", {"basis": "identity", "n": 2.9, "t": 2}, CONFIG, "'n'"),
+    ("theorem1", dict(_THEOREM1, samples=5.7), CONFIG, "'samples'"),
+    ("oscint", dict(OSC_BASE, t_grid=[8.0], hessian="no"), USAGE,
+     "'hessian'"),
+    ("fourier", {"n": 3, "s_max": math.nan}, CONFIG, "finite"),
+    ("fourier", {"n": 3, "s_grid": [0.0, math.inf]}, CONFIG, "finite"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
         "short-band", "scalar-s-grid", "scalar-phi", "null-epsilon",
-        "array-n", "array-samples", "null-in-t-grid", "string-t"])
+        "array-n", "array-samples", "null-in-t-grid", "string-t",
+        "empty-s-grid", "null-points-per-axis", "zero-grid-points",
+        "one-grid-point", "empty-phi", "fractional-n", "fractional-samples",
+        "string-hessian", "nan-s-max", "infinite-s-grid"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code
@@ -197,6 +222,16 @@ class TestCn:
     def test_missing_dimension(self, capsys):
         assert main(["cn"]) == CONFIG
 
+    def test_flags_override_config(self, tmp_path, capsys):
+        cfg = {"n": 3, "tol": 1e-10}
+        path = tmp_path / "cn.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["cn", "--config", str(path), "--n", "4",
+                     "--tol", "1e-8"]) == OK
+        out = json.loads(capsys.readouterr().out)
+        assert out["n"] == 4
+        assert out["cutoff"] == compute_cn(4, tol=1e-8).cutoff
+
 
 class TestFourier:
     def test_zero_frequency_value(self, tmp_path, capsys):
@@ -211,6 +246,18 @@ class TestFourier:
         lines = (out / "data.csv").read_text().strip().splitlines()
         assert lines[0] == "s,hat_chi"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("cfg", [
+        {"n": 3, "s_max": 10.0, "points": 50},
+        {"n": 3, "s_grid": [0.0, 1.0, 2.0]},
+    ], ids=["even-grid", "s-grid"])
+    def test_flags_override_config(self, tmp_path, capsys, cfg):
+        path = tmp_path / "fourier.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["fourier", "--config", str(path), "--n", "2",
+                     "--s-max", "4", "--points", "5"]) == OK
+        out = json.loads(capsys.readouterr().out)
+        assert (out["n"], out["s_max"], out["points"]) == (2, 4.0, 5)
 
 
 class TestSandwich:
@@ -246,14 +293,6 @@ class TestSandwich:
                    **fields)
         assert run(tmp_path, "sandwich", cfg) == CONFIG
         assert message in capsys.readouterr().err
-
-
-OSC_BASE = {
-    "n": 3, "k": [1, 2, 1], "l": [2, -1, 1], "signs": [1, -1],
-    "eta": [0.3, -0.2, 0.5],
-    "psi_intervals": [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]],
-    "points_per_period": 10,
-}
 
 
 class TestOscint:

@@ -292,8 +292,8 @@ class TestPinnedValues:
         basis = LatticeBasis(M)
         assert sandwich_check(basis, t, eps) == expected
         lower, upper = _poisson_sums(
-            basis, (t - expected.shift, t + expected.shift),
-            MollifierSpec.build(basis.n, eps), 10_000, 1e-3)
+            basis, (t - expected.shift, t + expected.shift), eps, 10_000,
+            1e-3)
         assert (lower[2], upper[2]) == shells
         assert (lower[0], upper[0]) == (expected.lower, expected.upper)
 
@@ -323,12 +323,11 @@ class TestEarlyStop:
         """Each radius's reported tail bounds the change from summing on
         to four times the shell where it stopped."""
         basis = LatticeBasis(np.array(M))
-        spec = MollifierSpec.build(basis.n, eps)
         shift = sandwich_check(basis, t, eps).shift
         radii = (t - shift, t + shift)
-        stopped = _poisson_sums(basis, radii, spec, 10_000, 1e-3)
+        stopped = _poisson_sums(basis, radii, eps, 10_000, 1e-3)
         for radius, (value, tail, shells) in zip(radii, stopped):
-            [(far, _, _)] = _poisson_sums(basis, (radius,), spec, 4 * shells)
+            [(far, _, _)] = _poisson_sums(basis, (radius,), eps, 4 * shells)
             assert abs(value - far) <= tail
 
 
@@ -374,6 +373,17 @@ class TestSmoothedCount:
         monkeypatch.setattr(fourier, "_shell_points", no_shells)
         with pytest.raises(ValueError, match="finite"):
             smoothed_count(identity_basis(3), t, 0.1, 3)
+
+    @pytest.mark.parametrize("cutoff", [2.5, math.nan, 0])
+    def test_bad_cutoff_rejected(self, monkeypatch, cutoff):
+        """A cutoff that is not a positive integer is refused before any
+        shell is built, not left to fail inside range()."""
+        def no_shells(*args):
+            raise AssertionError("a Poisson shell was built")
+
+        monkeypatch.setattr(fourier, "_shell_points", no_shells)
+        with pytest.raises(ValueError, match="cutoff"):
+            smoothed_count(identity_basis(3), 2.5, 0.1, cutoff)
 
     def test_tail_warning_flag(self):
         b = identity_basis(3)
