@@ -99,6 +99,9 @@ def _number(value, key: str, kind=float):
     object, null) is malformed input; a scalar that does not convert, is
     not finite, or is not integral where an int is asked for fails
     validation."""
+    if isinstance(value, bool):
+        # JSON true/false: float() would read them as 1 and 0
+        raise InputError(f"{key!r} must be a number, not {value!r}")
     if kind is int and isinstance(value, int):
         # as given: float() would round a seed above 2**53
         return int(value)
@@ -320,12 +323,16 @@ def _run_sandwich(cfg: dict, args):
 
 def _osc_spec_from_config(cfg: dict) -> OscillatorySpec:
     n = _number(_require(cfg, "n"), "n", int)
+    signs = _require(cfg, "signs")
+    if not isinstance(signs, list):
+        raise InputError("'signs' must be an array of two integers")
+    signs = tuple(_number(s, f"signs[{i}]", int) for i, s in enumerate(signs))
     try:
         return OscillatorySpec(
             n=n,
             k=np.asarray(_require(cfg, "k"), dtype=float),
             l=np.asarray(_require(cfg, "l"), dtype=float),
-            signs=tuple(int(s) for s in _require(cfg, "signs")),
+            signs=signs,
             eta=np.asarray(_require(cfg, "eta"), dtype=float),
             psi_intervals=np.asarray(_require(cfg, "psi_intervals"),
                                      dtype=float),

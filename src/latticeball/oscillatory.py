@@ -12,6 +12,14 @@ in a-space, p = 2 for n = 3 and 3/2 for n = 2, and oscillate like
 exp(2 pi i t Phi).  Tensor Gauss-Legendre with an oscillation-aware
 node count does the integration; every value is validated against a
 second, finer resolution before it is returned.
+
+The tensor sum is one pass over the flattened node grid, in blocks of a
+fixed number of nodes, so its memory does not grow with the rule.  At
+each node the phase, in cycles, is reduced to within an eighth of a
+cycle of its nearest quarter turn before the one sine it needs is taken:
+a small argument is about twice as cheap as one of hundreds of radians,
+and the cosine follows from the sine to rounding.  The quarter turns are
+folded into four running sums per component and rotated at the end.
 """
 
 from __future__ import annotations
@@ -37,6 +45,9 @@ _MAX_NODES_PER_AXIS = 2000
 _MAX_TOTAL_POINTS = 3.0e8
 # coarse and fine tensor rules must agree to this times the box volume
 _TARGET_REL = 1e-6
+# nodes per block of the tensor sum: its temporaries, about ten arrays
+# of this length, take about 1 MB and stay in cache
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -136,35 +147,77 @@ def _axis_rule(box_row, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tensor_value(spec: OscillatorySpec, t: float, ms) -> complex:
-    """Tensor Gauss-Legendre sum: a 2-d slab over axes 0 and 1, repeated
-    for every node of the remaining axes."""
+    """Tensor Gauss-Legendre sum in one pass over the flattened grid.
+
+    The nodes are walked in C order in blocks of at most _BLOCK, so the
+    memory used is bounded whatever the node counts.  A block covers
+    consecutive rows (lines along the last axis), possibly cut at both
+    ends.  At its nodes, qk and ql are a row term, repeated along the
+    row, plus a last-axis term, and the weight w is the product of two
+    such terms.  The amplitude is w (nk nl / (qk ql))^(p/2): one
+    division for n = 3, one power for n = 2.
+
+    The phase in cycles, u = t (s1 sqrt(qk) + s2 sqrt(ql)), is split
+    exactly as u = q/4 + r with q = rint(4u) and |r| <= 1/8.  One sine,
+    sin(2 pi r), gives the cosine as sqrt(1 - sin^2) to rounding, since
+    cos(2 pi r) >= 0.707.  As e^{2 pi i u} = i^q e^{2 pi i r}, the sums
+    of amp cos and amp sin are kept per quarter turn, q mod 4, and
+    rotated once at the end.
+    """
     kt, lt = spec.transformed()
-    K2 = kt ** 2
-    L2 = lt ** 2
-    p = spec.weight_exponent
-    nk = float(spec.k @ spec.k)
-    nl = float(spec.l @ spec.l)
-    s1, s2 = spec.signs
+    half_p = spec.weight_exponent / 2.0
+    scale = (float(spec.k @ spec.k) * float(spec.l @ spec.l)) ** half_p
+    tk, tl = (4.0 * t * s for s in spec.signs)
     rules = [_axis_rule(spec.psi_intervals[i], ms[i]) for i in range(spec.n)]
-    (x1, w1), (x2, w2) = rules[:2]
-    base_k = K2[0] * x1[:, None] + K2[1] * x2[None, :]
-    base_l = L2[0] * x1[:, None] + L2[1] * x2[None, :]
-    w12 = w1[:, None] * w2[None, :]
-    # offsets and weights of the nodes of axes 2 and up; for n = 2 one
-    # node that adds nothing
-    dk, dl, wr = np.zeros(1), np.zeros(1), np.ones(1)
-    for (x, w), a, b in zip(rules[2:], K2[2:], L2[2:]):
-        dk = (dk[:, None] + a * x).ravel()
-        dl = (dl[:, None] + b * x).ravel()
-        wr = (wr[:, None] * w).ravel()
-    total = 0.0 + 0.0j
-    for dkj, dlj, wj in zip(dk, dl, wr):
-        qk = base_k + dkj
-        ql = base_l + dlj
-        amp = (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
-        ph = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
-        total += wj * np.sum(w12 * amp * (np.cos(ph) + 1j * np.sin(ph)))
-    return complex(total)
+    ak = [k2 * x for k2, (x, _) in zip(kt ** 2, rules)]
+    al = [l2 * x for l2, (x, _) in zip(lt ** 2, rules)]
+    ws = [w for _, w in rules]
+    cols = ms[-1]
+    size = math.prod(ms)
+    # the last axis's terms, repeated over as many rows as a block spans
+    reps = min(_BLOCK, size) // cols + 2
+    ak_cols, al_cols, w_cols = (np.tile(a[-1], reps) for a in (ak, al, ws))
+    cos_q = np.zeros(4)
+    sin_q = np.zeros(4)
+    for start in range(0, size, _BLOCK):
+        stop = min(start + _BLOCK, size)
+        # the block is a slice of rows r0 .. r1 - 1 laid end to end
+        r0, r1 = start // cols, (stop - 1) // cols + 1
+        cut = slice(start - r0 * cols, stop - r0 * cols)
+        lead = np.unravel_index(np.arange(r0, r1), ms[:-1])
+        qk = np.repeat(sum(a[i] for a, i in zip(ak, lead)), cols)[cut]
+        qk += ak_cols[cut]
+        ql = np.repeat(sum(a[i] for a, i in zip(al, lead)), cols)[cut]
+        ql += al_cols[cut]
+        amp = np.repeat(scale * math.prod(w[i] for w, i in zip(ws, lead)),
+                        cols)[cut]
+        amp *= w_cols[cut]
+        den = qk * ql
+        if half_p == 1.0:
+            amp /= den
+        else:
+            amp *= den ** -half_p
+        # v = 4u, and 2 pi r = (pi / 2) (v - rint(v)); the subtraction
+        # is exact, as rint(v) is 0 or within a factor 2 of v
+        v = np.sqrt(qk, out=qk)
+        v *= tk
+        v += tl * np.sqrt(ql, out=ql)
+        q = np.rint(v)
+        v -= q
+        v *= math.pi / 2.0
+        sin_r = np.sin(v, out=v)
+        cos_r = np.square(sin_r, out=den)
+        np.subtract(1.0, cos_r, out=cos_r)
+        np.sqrt(cos_r, out=cos_r)
+        cos_r *= amp
+        sin_r *= amp
+        quarter = q.astype(np.int64)
+        quarter &= 3
+        cos_q += np.bincount(quarter, cos_r, 4)
+        sin_q += np.bincount(quarter, sin_r, 4)
+    # i^q (cos + i sin) for q = 0, 1, 2, 3
+    return complex(cos_q[0] - sin_q[1] - cos_q[2] + sin_q[3],
+                   sin_q[0] + cos_q[1] - sin_q[2] - cos_q[3])
 
 
 def _auto_nodes(spec: OscillatorySpec, t: float,
@@ -193,6 +246,8 @@ def I_kl(spec: OscillatorySpec, t: float, points_per_axis=None,
     """
     if t < 0 or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative")
+    if not (math.isfinite(points_per_period) and points_per_period > 0):
+        raise ValueError("points_per_period must be finite and positive")
     if points_per_axis is None:
         ms = _auto_nodes(spec, t, points_per_period)
     elif np.isscalar(points_per_axis):

@@ -173,13 +173,18 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
      "'hessian'"),
     ("fourier", {"n": 3, "s_max": math.nan}, CONFIG, "finite"),
     ("fourier", {"n": 3, "s_grid": [0.0, math.inf]}, CONFIG, "finite"),
+    ("cn", {"n": 3, "tol": True}, USAGE, "'tol'"),
+    ("theorem1", dict(_THEOREM1, seed=True), USAGE, "'seed'"),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0], signs=[1.5, -1]), CONFIG,
+     "'signs[0]'"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
         "short-band", "scalar-s-grid", "scalar-phi", "null-epsilon",
         "array-n", "array-samples", "null-in-t-grid", "string-t",
         "empty-s-grid", "null-points-per-axis", "zero-grid-points",
         "one-grid-point", "empty-phi", "fractional-n", "fractional-samples",
-        "string-hessian", "nan-s-max", "infinite-s-grid"])
+        "string-hessian", "nan-s-max", "infinite-s-grid", "boolean-tol",
+        "boolean-seed", "fractional-sign"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code
@@ -317,6 +322,15 @@ class TestOscint:
     def test_malformed_spec(self, tmp_path):
         cfg = dict(OSC_BASE, k=[0, 0, 0], t_grid=[1.0])
         assert run(tmp_path, "oscint", cfg) == USAGE
+
+    @pytest.mark.parametrize("ppp", [0, -5])
+    @pytest.mark.parametrize("hessian", [False, True])
+    def test_nonpositive_points_per_period(self, tmp_path, capsys, ppp,
+                                           hessian):
+        cfg = dict(OSC_BASE, t_grid=[1.0, 2.0], points_per_period=ppp,
+                   hessian=hessian)
+        assert run(tmp_path, "oscint", cfg) == CONFIG
+        assert "points_per_period" in capsys.readouterr().err
 
 
 class TestVdc:

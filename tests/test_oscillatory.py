@@ -1,11 +1,13 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from latticeball import oscillatory
 from latticeball.oscillatory import (
     I_kl,
     I_kl_eta_average,
@@ -13,6 +15,7 @@ from latticeball.oscillatory import (
     ResolutionError,
     _eval_on,
     _leggauss,
+    _tensor_value,
     discriminant,
     hessian_bound_check,
     phase,
@@ -28,6 +31,36 @@ def spec3(k, l, signs=(1, -1), eta=(0.3, -0.2, 0.5), box=UNIT_BOX3):
                            l=np.asarray(l, float), signs=signs,
                            eta=np.asarray(eta, float),
                            psi_intervals=np.asarray(box, float))
+
+
+def spec2(k=(1, 1), l=(1, -1), signs=(1, 1), eta=(0.25,)):
+    return OscillatorySpec(n=2, k=np.asarray(k, float),
+                           l=np.asarray(l, float), signs=signs,
+                           eta=np.asarray(eta, float),
+                           psi_intervals=np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+def dense_value(spec, t, ms):
+    """The tensor Gauss-Legendre sum written from the definition, with
+    every node of the grid at once."""
+    kt, lt = spec.transformed()
+    box = spec.psi_intervals
+    p = spec.weight_exponent
+    axes, weights = [], []
+    for i, m in enumerate(ms):
+        x, w = np.polynomial.legendre.leggauss(m)
+        half = (box[i, 1] - box[i, 0]) / 2.0
+        axes.append(box[i, 0] + half * (x + 1.0))
+        weights.append(half * w)
+    grids = np.meshgrid(*axes, indexing="ij")
+    weight = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
+    qk = sum(kt[i] ** 2 * grids[i] for i in range(spec.n))
+    ql = sum(lt[i] ** 2 * grids[i] for i in range(spec.n))
+    amp = ((spec.k @ spec.k) / qk) ** (p / 2) \
+        * ((spec.l @ spec.l) / ql) ** (p / 2)
+    s1, s2 = spec.signs
+    phase = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
+    return complex(np.sum(weight * amp * np.exp(1j * phase)))
 
 
 class TestSpecValidation:
@@ -142,6 +175,16 @@ class TestIkl:
         auto = I_kl(s, 2.0)
         assert val == pytest.approx(auto, abs=1e-9)
 
+    @pytest.mark.parametrize("ppp", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_points_per_period_rejected(self, monkeypatch, ppp):
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(oscillatory, "_axis_rule", no_rule)
+        s = spec3([1, 2, 1], [2, -1, 1])
+        with pytest.raises(ValueError, match="points_per_period"):
+            I_kl(s, 8.0, points_per_period=ppp)
+
     def test_resolution_budget_error(self):
         s = spec3([1, 2, 1], [2, -1, 1])
         with pytest.raises(ResolutionError):
@@ -172,6 +215,44 @@ class TestIkl:
         avg = I_kl_eta_average(s, 5.0, nodes=4)
         assert abs(avg.imag) < 1e-12
         assert avg.real > 0.0
+
+
+class TestTensorKernel:
+    @pytest.mark.parametrize("n, ms, block", [
+        (3, [13, 17, 19], None),
+        (3, [30, 41, 57], 997),
+        (2, [60, 77], None),
+        (2, [150, 203], 97),
+    ], ids=["n3-one-block", "n3-small-odd-blocks", "n2-one-block",
+            "n2-small-odd-blocks"])
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("t", [1.0, 17.0, 200.0])
+    def test_matches_dense_sum(self, monkeypatch, n, ms, block, signs, t):
+        if block is None:
+            assert math.prod(ms) < oscillatory._BLOCK
+        else:
+            # blocks end mid-row and mid-slab, and the last one is short
+            monkeypatch.setattr(oscillatory, "_BLOCK", block)
+            assert block % ms[-1] and block % math.prod(ms[1:])
+            assert math.prod(ms) % block
+        if n == 3:
+            s = spec3([1, 2, 1], [2, -1, 1], signs=signs)
+        else:
+            s = spec2(signs=signs)
+        box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
+        ref = dense_value(s, t, ms)
+        assert abs(_tensor_value(s, t, ms) - ref) <= 1e-12 * box_vol
+
+    def test_bounded_memory(self):
+        s = spec2()
+        _leggauss(1500)  # the shared cached rule is not the kernel's
+        tracemalloc.start()
+        try:
+            _tensor_value(s, 8.0, [1500, 1500])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestLeggauss:
