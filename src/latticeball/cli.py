@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import LatticeBasis, basis_from_json, identity_basis
+from .basis import LatticeBasis, identity_basis
 from .counting import ball_volume, count_scan
 from .fourier import hat_chi_ball, sandwich_check
 from .meanvalue import (CalibrationError, compute_cn, fit_scaling_exponent,
@@ -109,7 +109,7 @@ def _number(value, key: str, kind=float):
         x = float(value)
     except TypeError as exc:
         raise InputError(f"{key!r} must be a number") from exc
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{key!r}: {exc}") from exc
     if not math.isfinite(x):
         raise ConfigError(f"{key!r} must be finite, not {value!r}")
@@ -120,29 +120,38 @@ def _number(value, key: str, kind=float):
     return x
 
 
-def _parse_basis(spec, cfg: dict) -> LatticeBasis:
+def _array(value, key: str, kind=float, depth: int = 1) -> list:
+    """A JSON array nested ``depth`` deep with every entry read through
+    _number, as nested lists; any other shape is malformed."""
+    if not isinstance(value, list):
+        raise InputError(f"{key!r} must be an array")
+    return [_number(v, f"{key}[{i}]", kind) if depth == 1
+            else _array(v, f"{key}[{i}]", kind, depth - 1)
+            for i, v in enumerate(value)]
+
+
+def _parse_basis(spec, cfg: dict, key: str) -> LatticeBasis:
     """A basis given as "identity" (sized by the config's "n") or as a
     basis object {"n": ..., "columns": [...]}."""
     if spec == "identity":
         return identity_basis(_number(_require(cfg, "n"), "n", int))
-    if isinstance(spec, dict):
-        try:
-            return basis_from_json(json.dumps(spec))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise InputError(f"malformed basis: {exc}") from exc
-    raise InputError("basis must be 'identity' or a basis object")
-
-
-def _float_list(value, key: str) -> list:
-    """A JSON array of numbers as floats; any other shape is malformed."""
-    if not isinstance(value, list):
-        raise InputError(f"{key!r} must be an array of numbers")
-    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+    if not isinstance(spec, dict) or not {"n", "columns"} <= spec.keys():
+        raise InputError(f"malformed basis: {key!r} must be 'identity' or "
+                         '{"n": int, "columns": [[...], ...]}')
+    n = _number(spec["n"], f"{key}.n", int)
+    columns = _array(spec["columns"], f"{key}.columns", depth=2)
+    if len(columns) != n:
+        raise InputError(f"malformed basis: {key!r} has {len(columns)} "
+                         f"columns, not n = {n}")
+    try:
+        return LatticeBasis(np.array(columns).T)
+    except ValueError as exc:
+        raise InputError(f"malformed basis: {exc}") from exc
 
 
 def _t_grid_from_config(cfg: dict) -> list:
     if "t_grid" in cfg:
-        grid = _float_list(cfg["t_grid"], "t_grid")
+        grid = _array(cfg["t_grid"], "t_grid")
     elif "t" in cfg:
         grid = [_number(cfg["t"], "t")]
     else:
@@ -152,15 +161,13 @@ def _t_grid_from_config(cfg: dict) -> list:
     return grid
 
 
-def _setting(cfg: dict, args, key: str, default):
-    """The command-line flag for ``key`` when given, else the config
-    value, else ``default``."""
-    flag = getattr(args, key, None)
-    return flag if flag is not None else cfg.get(key, default)
-
-
-def _seed_from(cfg: dict, args) -> int:
-    return _number(_setting(cfg, args, "seed", 0), "seed", int)
+def _seed(cfg: dict) -> int:
+    seed = _number(cfg.get("seed", 0), "seed", int)
+    # the generator keys on the seed modulo 2**64, so a seed outside
+    # that range would silently repeat another seed's stream
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"'seed' must be in [0, 2**64), not {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +175,8 @@ def _seed_from(cfg: dict, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_count(cfg: dict, args):
-    basis = _parse_basis(_require(cfg, "basis"), cfg)
+def _run_count(cfg: dict):
+    basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
     grid = sorted(_t_grid_from_config(cfg))
     results = count_scan(basis, grid)
     rows = [(r.t, r.count, r.volume, r.remainder) for r in results]
@@ -184,26 +191,25 @@ def _run_count(cfg: dict, args):
     return out, (("t", "count", "volume", "remainder"), rows)
 
 
-def _run_theorem1(cfg: dict, args):
+def _run_theorem1(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
     grid = sorted(_t_grid_from_config(cfg))
     samples = _number(_require(cfg, "samples"), "samples", int)
-    master = _seed_from(cfg, args)
+    master = _seed(cfg)
     fam = _require(cfg, "family")
     if not isinstance(fam, dict):
         raise InputError("family must be an object")
-    center = _parse_basis(fam.get("center", "identity"), cfg)
+    center = _parse_basis(fam.get("center", "identity"), cfg, "family.center")
     if center.n != n:
         raise ConfigError(f"family center has dimension {center.n}, not {n}")
-    family = CompactFamilySpec(center=center.entries,
-                               delta=_number(_require(fam, "delta"), "delta"),
-                               det_floor=_number(_require(fam, "det_floor"),
-                                                 "det_floor"))
-    band = cfg.get("band", {2: [0.3, 0.8], 3: [0.8, 1.3]}.get(n))
-    if band is not None:
-        band = _float_list(band, "band")
-        if len(band) != 2:
-            raise InputError("band must be a [low, high] pair")
+    family = CompactFamilySpec(
+        center=center.entries,
+        delta=_number(_require(fam, "delta"), "family.delta"),
+        det_floor=_number(_require(fam, "det_floor"), "family.det_floor"))
+    default_band = {2: [0.3, 0.8], 3: [0.8, 1.3]}.get(n)
+    band = _array(cfg["band"], "band") if "band" in cfg else default_band
+    if band is not None and len(band) != 2:
+        raise InputError("band must be a [low, high] pair")
     per_t = []
     rows = []
     for ti, t in enumerate(grid):
@@ -232,7 +238,7 @@ def _run_theorem1(cfg: dict, args):
     return out, (("t", "rms_E", "mean_E", "var_E", "samples"), rows)
 
 
-def _run_theorem2(cfg: dict, args):
+def _run_theorem2(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
     if n != 3:
         raise ConfigError("theorem2 supports n = 3 only (the second-moment "
@@ -242,7 +248,7 @@ def _run_theorem2(cfg: dict, args):
     if t < 2.0:
         raise ConfigError("theorem2 requires t >= 2")
     samples = _number(_require(cfg, "samples"), "samples", int)
-    master = _seed_from(cfg, args)
+    master = _seed(cfg)
     if "ratio_bound" in cfg:
         config = HaarSamplerConfig(
             n=n, ratio_bound=_number(cfg["ratio_bound"], "ratio_bound"))
@@ -277,11 +283,9 @@ def _run_theorem2(cfg: dict, args):
     return out, None
 
 
-def _run_cn(cfg: dict, args):
-    n = _number(_setting(cfg, args, "n", 0), "n", int)
-    if n == 0:
-        raise ConfigError("cn needs n")
-    tol = _number(_setting(cfg, args, "tol", 1e-10), "tol")
+def _run_cn(cfg: dict):
+    n = _number(_require(cfg, "n"), "n", int)
+    tol = _number(cfg.get("tol", 1e-10), "tol")
     result = compute_cn(n, tol=tol)
     out = {"n": result.n, "value": result.value,
            "tail_bound": result.tail_bound,
@@ -289,18 +293,15 @@ def _run_cn(cfg: dict, args):
     return out, None
 
 
-def _run_fourier(cfg: dict, args):
-    n = _number(_setting(cfg, args, "n", 0), "n", int)
-    if n == 0:
-        raise ConfigError("fourier needs n")
-    # --s-max or --points asks for the even grid over a config's s_grid
-    if "s_grid" in cfg and args.s_max is None and args.points is None:
-        s = np.asarray(_float_list(cfg["s_grid"], "s_grid"))
+def _run_fourier(cfg: dict):
+    n = _number(_require(cfg, "n"), "n", int)
+    if "s_grid" in cfg:
+        s = np.asarray(_array(cfg["s_grid"], "s_grid"))
         if s.size == 0:
             raise ConfigError("s_grid is empty")
     else:
-        s_max = _number(_setting(cfg, args, "s_max", 10.0), "s_max")
-        points = _number(_setting(cfg, args, "points", 201), "points", int)
+        s_max = _number(cfg.get("s_max", 10.0), "s_max")
+        points = _number(cfg.get("points", 201), "points", int)
         if points < 2 or s_max <= 0:
             raise ConfigError("fourier needs s_max > 0 and points >= 2")
         s = np.linspace(0.0, s_max, points)
@@ -312,8 +313,8 @@ def _run_fourier(cfg: dict, args):
     return out, (("s", "hat_chi"), rows)
 
 
-def _run_sandwich(cfg: dict, args):
-    basis = _parse_basis(_require(cfg, "basis"), cfg)
+def _run_sandwich(cfg: dict):
+    basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
     t = _number(_require(cfg, "t"), "t")
     epsilon = _number(_require(cfg, "epsilon"), "epsilon")
     tail_target = _number(cfg.get("tail_target", 1e-3), "tail_target")
@@ -323,27 +324,17 @@ def _run_sandwich(cfg: dict, args):
 
 def _osc_spec_from_config(cfg: dict) -> OscillatorySpec:
     n = _number(_require(cfg, "n"), "n", int)
-    signs = _require(cfg, "signs")
-    if not isinstance(signs, list):
-        raise InputError("'signs' must be an array of two integers")
-    signs = tuple(_number(s, f"signs[{i}]", int) for i, s in enumerate(signs))
+    k, l, eta = (_array(_require(cfg, key), key) for key in ("k", "l", "eta"))
+    signs = tuple(_array(_require(cfg, "signs"), "signs", int))
+    box = _array(_require(cfg, "psi_intervals"), "psi_intervals", depth=2)
     try:
-        return OscillatorySpec(
-            n=n,
-            k=np.asarray(_require(cfg, "k"), dtype=float),
-            l=np.asarray(_require(cfg, "l"), dtype=float),
-            signs=signs,
-            eta=np.asarray(_require(cfg, "eta"), dtype=float),
-            psi_intervals=np.asarray(_require(cfg, "psi_intervals"),
-                                     dtype=float),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+        return OscillatorySpec(n=n, k=k, l=l, signs=signs, eta=eta,
+                               psi_intervals=box)
+    except ValueError as exc:
         raise InputError(f"malformed oscillatory spec: {exc}") from exc
 
 
-def _run_oscint(cfg: dict, args):
+def _run_oscint(cfg: dict):
     spec = _osc_spec_from_config(cfg)
     grid = sorted(_t_grid_from_config(cfg))
     kwargs = {}
@@ -352,12 +343,8 @@ def _run_oscint(cfg: dict, args):
                                               "points_per_period")
     if "points_per_axis" in cfg:
         m = cfg["points_per_axis"]
-        if isinstance(m, list):
-            m = [_number(v, f"points_per_axis[{i}]", int)
-                 for i, v in enumerate(m)]
-        else:
-            m = _number(m, "points_per_axis", int)
-        kwargs["points_per_axis"] = m
+        read = _array if isinstance(m, list) else _number
+        kwargs["points_per_axis"] = read(m, "points_per_axis", int)
     hessian = cfg.get("hessian", False)
     if not isinstance(hessian, bool):
         raise InputError("'hessian' must be true or false")
@@ -379,9 +366,9 @@ def _run_oscint(cfg: dict, args):
     return out, (("t", "real", "imag", "abs"), rows)
 
 
-def _run_vdc(cfg: dict, args):
-    phi_coeffs = _float_list(_require(cfg, "phi"), "phi")
-    psi_coeffs = _float_list(_require(cfg, "psi0"), "psi0")
+def _run_vdc(cfg: dict):
+    phi_coeffs = _array(_require(cfg, "phi"), "phi")
+    psi_coeffs = _array(_require(cfg, "psi0"), "psi0")
     if not phi_coeffs or not psi_coeffs:
         raise ConfigError("phi and psi0 need at least one coefficient")
     a = _number(_require(cfg, "a"), "a")
@@ -466,9 +453,18 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    # a flag on the command line wins over the config's value, and
+    # fourier's even-grid flags win over its s_grid
+    flags = {key: value for key, value in vars(args).items()
+             if key in ("seed", "n", "tol", "s_max", "points")
+             and value is not None}
+    settings = dict(cfg, **flags)
+    if flags.keys() & {"s_max", "points"}:
+        settings.pop("s_grid", None)
+
     start = time.perf_counter()
     try:
-        result, csv_payload = _COMMANDS[command](cfg, args)
+        result, csv_payload = _COMMANDS[command](settings)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,8 +56,10 @@ def compute_cn(n: int, tol: float = 1e-10) -> CnResult:
     """
     if n < 3:
         raise ValueError("the pair series is used for n >= 3 only")
-    if tol < 1e-14:
-        raise ValueError("requested tolerance is below achievable precision")
+    if not tol >= 1e-14:
+        # written so that a NaN tol is refused too
+        raise ValueError(f"tol must be at least 1e-14, the achievable "
+                         f"precision, not {tol!r}")
     z = _zeta_upper(n)
     Q = math.ceil((8.0 * z / ((2 * n - 1) * tol)) ** (1.0 / (2 * n - 1))) + 1
     total = 0.0
@@ -179,8 +181,10 @@ class ScalingFit:
 def fit_scaling_exponent(points) -> ScalingFit:
     """Least squares in log-log coordinates for (t, rms) pairs."""
     pts = [(float(a), float(b)) for a, b in points]
-    if len(pts) < 3:
-        raise ValueError("need at least three points")
+    if len({t for t, _ in pts}) < 3:
+        # fewer distinct t leave the slope undetermined: lstsq would
+        # return its minimum-norm solution as if it were a fit
+        raise ValueError("need at least three distinct t values")
     if any(t <= 1.0 for t, _ in pts):
         raise ValueError("t values must exceed 1")
     if any(r <= 0.0 for _, r in pts):

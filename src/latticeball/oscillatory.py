@@ -68,20 +68,24 @@ class OscillatorySpec:
         l = np.asarray(self.l, dtype=float).reshape(-1)
         if k.shape != (self.n,) or l.shape != (self.n,):
             raise ValueError("k and l must be length-n vectors")
-        if not k.any() or not l.any():
-            raise ValueError("k and l must be nonzero")
-        if tuple(self.signs) not in {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
-            raise ValueError("signs must be +-1 each")
         eta = np.asarray(self.eta, dtype=float).reshape(-1)
         if eta.shape != (self.n * (self.n - 1) // 2,):
             raise ValueError("eta has the wrong length for n")
         box = np.asarray(self.psi_intervals, dtype=float)
         if box.shape != (self.n, 2):
             raise ValueError("psi_intervals must have shape (n, 2)")
+        arrays = (("k", k), ("l", l), ("eta", eta), ("psi_intervals", box))
+        for name, arr in arrays:
+            # NaN fails every comparison below, so refuse it here
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
+        if not k.any() or not l.any():
+            raise ValueError("k and l must be nonzero")
+        if tuple(self.signs) not in {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
+            raise ValueError("signs must be +-1 each")
         if np.any(box[:, 0] <= 0) or np.any(box[:, 1] <= box[:, 0]):
             raise ValueError("each interval needs 0 < lower < upper")
-        for name, arr in (("k", k), ("l", l), ("eta", eta),
-                          ("psi_intervals", box)):
+        for name, arr in arrays:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "signs",

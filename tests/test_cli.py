@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from latticeball import fourier
 from latticeball.cli import main
@@ -81,6 +84,25 @@ class TestCount:
         assert code == USAGE
         assert "malformed basis" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("basis", [
+        {"columns": [[1.0, 0.0], [0.0, 1.0]]},
+        {"n": 2},
+        {"n": 3, "columns": [[1.0, 0.0], [0.0, 1.0]]},
+        {"n": 2, "columns": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        {"n": 2, "columns": [[1.0, 2.0], [2.0, 4.0]]},
+        "square",
+    ], ids=["no-n", "no-columns", "wrong-n", "non-square", "singular",
+            "string"])
+    def test_malformed_basis_objects(self, tmp_path, capsys, basis):
+        assert run(tmp_path, "count", {"basis": basis, "t": 2}) == USAGE
+        assert "malformed basis" in capsys.readouterr().err
+
+    def test_basis_dimension_read_as_number(self, tmp_path, capsys):
+        cfg = {"basis": {"n": 2.0, "columns": [[1.0, 0.0], [0.0, 1.0]]},
+               "t": 1}
+        assert run(tmp_path, "count", cfg) == OK
+        assert json.loads(capsys.readouterr().out)["counts"] == [5]
+
     def test_missing_radius(self, tmp_path, capsys):
         assert run(tmp_path, "count",
                    {"basis": "identity", "n": 2}) == CONFIG
@@ -109,6 +131,21 @@ class TestTheorem1:
                 == (b / "data.csv").read_bytes())
         assert ((a / "data.csv").read_bytes()
                 != (c / "data.csv").read_bytes())
+
+    @pytest.mark.parametrize("flag, value", [
+        (True, 2 ** 64 + 5), (True, -1), (False, 2 ** 64), (False, -3)],
+        ids=["flag-past-2-64", "flag-negative", "config-2-64",
+             "config-negative"])
+    def test_seed_outside_generator_range(self, tmp_path, capsys, flag,
+                                          value):
+        """Philox keys on the seed modulo 2**64: 2**64 + 5 would repeat
+        seed 5, and -1 would repeat 2**64 - 1."""
+        if flag:
+            code = run(tmp_path, "theorem1", _THEOREM1, seed=value)
+        else:
+            code = run(tmp_path, "theorem1", dict(_THEOREM1, seed=value))
+        assert code == CONFIG
+        assert "'seed'" in capsys.readouterr().err
 
     def test_bad_family_rejected(self, tmp_path):
         cfg = {"n": 3, "t_grid": [4, 6, 9], "samples": 2,
@@ -177,6 +214,17 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("theorem1", dict(_THEOREM1, seed=True), USAGE, "'seed'"),
     ("oscint", dict(OSC_BASE, t_grid=[1.0], signs=[1.5, -1]), CONFIG,
      "'signs[0]'"),
+    ("theorem1", dict(_THEOREM1, t_grid=[4, 4, 4]), CONFIG, "distinct"),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0], k=[True, 2, 1]), USAGE,
+     "'k[0]'"),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0],
+                    psi_intervals=[[1.0, 2.0], [1.0, 2.0], [1.0, None]]),
+     USAGE, "'psi_intervals[2][1]'"),
+    ("count", {"basis": {"n": 2, "columns": [[True, 0], [0, 1]]}, "t": 2},
+     USAGE, "'basis.columns[0][0]'"),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0], eta=[0.3, "nan", 0.5]), CONFIG,
+     "'eta[1]'"),
+    ("count", {"basis": "identity", "n": 2, "t": 10 ** 400}, CONFIG, "'t'"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
         "short-band", "scalar-s-grid", "scalar-phi", "null-epsilon",
@@ -184,7 +232,9 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
         "empty-s-grid", "null-points-per-axis", "zero-grid-points",
         "one-grid-point", "empty-phi", "fractional-n", "fractional-samples",
         "string-hessian", "nan-s-max", "infinite-s-grid", "boolean-tol",
-        "boolean-seed", "fractional-sign"])
+        "boolean-seed", "fractional-sign", "repeated-t", "boolean-in-k",
+        "null-in-psi-intervals", "boolean-in-columns", "nan-string-in-eta",
+        "int-past-float-range"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code
@@ -356,3 +406,96 @@ class TestBundledConfigs:
         assert len(files) >= 10
         for f in files:
             json.loads(f.read_text())
+
+
+# Small valid configs, one or two per subcommand, whose every number is
+# replaced in turn by the fuzz test below.
+_FUZZ_BASES = [
+    ("count", {"basis": {"n": 2, "columns": [[1.0, 0.0], [0.7, 1.1]]},
+               "t_grid": [1.0, 2.0]}),
+    ("count", {"basis": "identity", "n": 2, "t": 2.0}),
+    ("theorem1", dict(_THEOREM1, band=[0.3, 0.8], family=dict(
+        _FAMILY, center={"n": 2, "columns": [[1.0, 0.0], [0.0, 1.0]]}))),
+    ("theorem2", {"n": 3, "t": 3.0, "samples": 10, "seed": 1,
+                  "ratio_bound": 0.9}),
+    ("cn", {"n": 3, "tol": 1e-6}),
+    ("fourier", {"n": 3, "s_grid": [0.0, 1.0]}),
+    ("fourier", {"n": 2, "s_max": 2.0, "points": 5}),
+    ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": 0.1,
+                  "tail_target": 1e-3}),
+    ("oscint", dict(OSC_BASE, t_grid=[1.0])),
+    ("vdc", dict(_VDC, grid_points=65)),
+]
+
+
+def _number_positions(value, path=()):
+    """(path, is_array) for every number of a config and every array
+    that holds numbers or arrays."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _number_positions(v, path + (key,))
+    elif isinstance(value, list):
+        yield path, True
+        for i, v in enumerate(value):
+            yield from _number_positions(v, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, False
+
+
+def _leaf_key(path):
+    """The name the CLI gives a position, e.g. 'basis.columns[0][1]'."""
+    key = ""
+    for part in path:
+        if isinstance(part, int):
+            key += f"[{part}]"
+        else:
+            key += f".{part}" if key else part
+    return key
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_FUZZ_CASES = [(command, cfg, path, is_array)
+               for command, cfg in _FUZZ_BASES
+               for path, is_array in _number_positions(cfg)]
+_OBJECTS = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+# malformed where a number belongs (exit 2)
+_NOT_SCALARS = st.one_of(st.booleans(), st.none(), _OBJECTS,
+                         st.lists(st.floats(allow_nan=False), max_size=3))
+# a scalar that is no finite number (exit 3)
+_NOT_NUMBERS = st.one_of(
+    st.text(max_size=8).filter(_not_a_number),
+    st.sampled_from([math.nan, math.inf, -math.inf, "nan", "-Infinity"]))
+# anything but an array where an array belongs (exit 2)
+_NOT_ARRAYS = st.one_of(st.booleans(), st.none(), _OBJECTS, st.floats(),
+                        st.integers(), st.text(max_size=8))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(_FUZZ_CASES), data=st.data())
+def test_fuzzed_config_leaf(tmp_path, capsys, case, data):
+    """One number (or array of numbers) of a valid config is replaced by
+    a malformed value: the run ends in exit 2 or 3, never a traceback,
+    and the message names the position."""
+    command, cfg, path, is_array = case
+    if is_array:
+        value, code = data.draw(_NOT_ARRAYS), USAGE
+    else:
+        value, code = data.draw(st.one_of(
+            _NOT_SCALARS.map(lambda v: (v, USAGE)),
+            _NOT_NUMBERS.map(lambda v: (v, CONFIG))))
+    cfg = copy.deepcopy(cfg)
+    target = cfg
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    capsys.readouterr()
+    assert run(tmp_path, command, cfg) == code
+    assert f"'{_leaf_key(path)}'" in capsys.readouterr().err

@@ -34,6 +34,11 @@ class TestComputeCn:
         assert res.value == pytest.approx(4.140299545385922, abs=2e-10)
         assert res.tail_bound < 1e-10
 
+    @pytest.mark.parametrize("tol", [math.nan, 1e-15])
+    def test_unreachable_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            compute_cn(3, tol=tol)
+
     def test_partial_sums_monotone(self):
         coarse = compute_cn(3, tol=1e-4)
         fine = compute_cn(3, tol=1e-10)
@@ -180,6 +185,13 @@ class TestFitScaling:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             fit_scaling_exponent([(10.0, 1.0), (20.0, 2.0)])
+
+    @pytest.mark.parametrize("ts", [[4.0, 4.0, 4.0], [4.0, 6.0, 4.0, 6.0]],
+                             ids=["one-t", "two-t"])
+    def test_needs_three_distinct_t(self, ts):
+        # lstsq would return its minimum-norm "slope" for these
+        with pytest.raises(ValueError, match="distinct"):
+            fit_scaling_exponent([(t, 1.0 + i) for i, t in enumerate(ts)])
 
     def test_rejects_degenerate_rms(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,17 @@ class TestSpecValidation:
             spec3([1, 0, 0], [0, 1, 0],
                   box=[[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["k", "l", "eta", "psi_intervals"])
+    def test_non_finite_entries_rejected(self, field, bad):
+        fields = dict(n=3, k=[1.0, 2.0, 1.0], l=[2.0, -1.0, 1.0],
+                      signs=(1, -1), eta=[0.3, -0.2, 0.5],
+                      psi_intervals=UNIT_BOX3.copy())
+        fields[field] = np.array(fields[field], dtype=float)
+        fields[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OscillatorySpec(**fields)
+
     def test_positive_left_endpoints(self):
         with pytest.raises(ValueError):
             spec3([1, 0, 0], [0, 1, 0],
