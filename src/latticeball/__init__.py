@@ -36,12 +36,8 @@ from .counting import (
 from .fourier import (
     MollifierSpec,
     SandwichResult,
-    SmoothedCount,
     hat_chi_ball,
-    hat_chi_lattice,
-    mollifier_hat,
     sandwich_check,
-    smoothed_count,
 )
 from .meanvalue import (
     CalibrationError,

@@ -32,8 +32,9 @@ from . import __version__
 from .basis import LatticeBasis, identity_basis
 from .counting import ball_volume, count_scan
 from .fourier import hat_chi_ball, sandwich_check
-from .meanvalue import (CalibrationError, compute_cn, fit_scaling_exponent,
-                        mc_stats, siegel_calibration, variance_prediction)
+from .meanvalue import (CalibrationError, check_fit_grid, compute_cn,
+                        fit_scaling_exponent, mc_stats, siegel_calibration,
+                        variance_prediction)
 from .oscillatory import (OscillatorySpec, I_kl, ResolutionError,
                           hessian_bound_check, vdc_check)
 from .sampling import (CompactFamilySpec, HaarSamplerConfig,
@@ -194,6 +195,8 @@ def _run_count(cfg: dict):
 def _run_theorem1(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
     grid = sorted(_t_grid_from_config(cfg))
+    # refuse a grid the fit cannot use before the Monte Carlo runs
+    check_fit_grid(grid)
     samples = _number(_require(cfg, "samples"), "samples", int)
     master = _seed(cfg)
     fam = _require(cfg, "family")

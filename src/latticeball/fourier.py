@@ -1,4 +1,4 @@
-"""Ball Fourier transforms, compactly supported mollifiers, and the
+"""Ball Fourier transforms, a compactly supported mollifier, and the
 mollified Poisson summation that sandwiches the exact count.
 
 The transform of the unit ball has closed forms in the two dimensions we
@@ -11,7 +11,7 @@ is the order-8 B-spline on [-1, 1], the 8-fold convolution of the uniform
 density on [-1/8, 1/8].  It is nonnegative with unit mass and support
 [-1, 1], and its 1-d transform has the closed form
 (sin(2 pi y/8) / (2 pi y/8))^8, which lies between 0 and
-min(1, (4 / (pi |y|))^8).
+g(y) = min(1, (4 / (pi |y|))^8).
 
 The smoothed counts are Poisson sums over sup-norm shells of integer
 frequencies.  On shell c every coordinate has |k_j| in 0..c, so the 1-d
@@ -23,16 +23,34 @@ leaves the sums bit-identical to summing over the full shell.  The lower
 and upper sums of the sandwich share one pass over the shells: points,
 mollifier weights and dual norms are built once per shell and summed at
 both radii.
+
+Every sum carries a proven tail.  Past shell C every frequency has
+|X^{-T} k| >= sigma (C + 1), where sigma = 1/||X||_2 is the smallest
+singular value of X^{-T}, so at radius r
+
+    T = (r^n/|det|) env(r sigma (C + 1)) ((G_C + 2H)^n - G_C^n) + R
+
+bounds everything the sum leaves out.  env(s) bounds |hat_chi_ball(n, s')|
+for all s' >= s: 1/(pi s^2) + 1/(2 pi^2 s^3) for n = 3 and
+sqrt(J1^2 + Y1^2)(2 pi s)/s for n = 2, a modulus that decreases by
+Nicholson's formula.  G_C = sum_{|k| <= C} g(epsilon k), and
+H = (4/(pi epsilon))^8 (a^-8 + a^-7/7) with a = C + 1 bounds
+sum_{k > C} g(epsilon k).  R allows for the rounding of the float sums.
+The sandwich counts exactly before it sums, so each of its two sums stops
+at the first shell whose proven tail is below its margin (count - lower
+or upper - count), or, where the margin is too thin for that, at the
+first shell whose proven tail is below the tail target.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .basis import LatticeBasis, dual_norm
+from .basis import LatticeBasis
 from .counting import count_points, unit_ball_volume
 
 # ---------------------------------------------------------------------------
@@ -91,10 +109,23 @@ def hat_chi_ball(n: int, s):
     return float(out[0]) if scalar else out
 
 
-def hat_chi_lattice(basis: LatticeBasis, k) -> float:
-    """Transform of the indicator of X^{-1}(unit ball) at frequency k."""
-    s = dual_norm(basis, k)
-    return hat_chi_ball(basis.n, s) / abs(basis.det)
+def _ball_envelope(n: int, s: float) -> float:
+    """env(s) >= |hat_chi_ball(n, s')| for every s' >= s > 0, decreasing
+    in s.
+
+    n = 3: 1/(pi s^2) + 1/(2 pi^2 s^3), the closed form with |cos| and
+    |sin| bounded by 1.  n = 2: sqrt(J1^2 + Y1^2)(2 pi s) / s, since
+    |J1| <= sqrt(J1^2 + Y1^2) and that modulus decreases (Nicholson's
+    formula).  Both are capped at the unit-ball volume, hat_chi_ball's
+    value at 0 and the largest it takes.
+    """
+    if n == 3:
+        env = 1.0 / (math.pi * s * s) + 1.0 / (2.0 * math.pi ** 2 * s ** 3)
+    else:
+        from scipy.special import j1, y1
+        x = 2.0 * math.pi * s
+        env = math.hypot(j1(x), y1(x)) / s
+    return min(env, unit_ball_volume(n))
 
 
 # ---------------------------------------------------------------------------
@@ -133,27 +164,31 @@ class MollifierSpec:
         return float(out) if out.ndim == 0 else out
 
 
-def mollifier_hat(spec: MollifierSpec, xi) -> float:
-    """Transform of the product mollifier at frequency vector xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (spec.n,):
-        raise ValueError(f"expected frequency vector of length {spec.n}")
-    return float(np.prod(spec.rho0_hat(xi)))
+def _rho0_majorant(y: float) -> float:
+    """g(y) = min(1, (m / (2 pi |y|))^m) >= |rho0_hat(y)| with m =
+    _ORDER, since |sin| <= 1; (4 / (pi |y|))^8 for m = 8."""
+    if y == 0.0:
+        return 1.0
+    return min(1.0, (_ORDER / (2.0 * math.pi * abs(y))) ** _ORDER)
+
+
+def _majorant_tail(epsilon: float, a: int) -> float:
+    """H >= sum_{k >= a} g(epsilon k): the first term plus the integral of
+    (m / (2 pi epsilon x))^m from a on, (m/(2 pi epsilon))^m (a^-m +
+    a^(1-m)/(m-1))."""
+    b = (_ORDER / (2.0 * math.pi * epsilon)) ** _ORDER
+    return b * (a ** -_ORDER + a ** (1 - _ORDER) / (_ORDER - 1))
+
+
+def _power_gap(g: float, d: float, n: int) -> float:
+    """(g + d)^n - g^n, summed as d sum_j (g + d)^j g^(n-1-j) so that a
+    small d does not cancel away."""
+    return d * sum((g + d) ** j * g ** (n - 1 - j) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
 # Smoothed counts via Poisson summation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SmoothedCount:
-    t: float
-    epsilon: float
-    cutoff: int
-    value: float
-    tail_estimate: float
-    tail_warning: bool
 
 
 def _shell_points(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,63 +233,97 @@ def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
     return rho
 
 
+# a generous multiple of the unit roundoff for the rounding allowance of a
+# proven tail (see _poisson_sums)
+_ROUNDING = 64.0 * math.ulp(1.0)
+
+
+class PoissonSum(NamedTuple):
+    """A Poisson sum at one radius: its value through shell ``shells``,
+    the proven bound ``tail`` on everything past that shell, and the stop
+    rule that fired ("margin", "target", or None if neither did)."""
+
+    value: float
+    tail: float
+    shells: int
+    rule: str | None
+
+
 def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
-                  tail_target: float | None = None
-                  ) -> list[tuple[float, float, int]]:
+                  count: int | None = None, tail_target: float = 0.0
+                  ) -> list[PoissonSum]:
     """Main term plus shells 1..cutoff, at each radius of ``radii``, for
-    the mollifier of width ``epsilon``.
+    the mollifier of width ``epsilon``, each with its proven tail.
 
     A shell's points, mollifier weights and dual norms do not depend on
     the radius, so each shell is built once and summed at every radius
     still accumulating.  Every term is even in k, so the weights, dual
     norms and ball transforms are evaluated on one point of each +-k pair
     and gathered into the full shell's order before summing: the sums add
-    the same numbers in the same sequence as over the full shell.  With a
-    tail target a radius stops once two consecutive shell estimates sit
-    below the target.  Returns (value, tail, shells) per radius.
+    the same numbers in the same sequence as over the full shell.
+
+    The tail of radius r after shell C is the bound of the module
+    docstring plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
+    s_max kappa) M.  M bounds the absolute sum of every term added so
+    far (shell c's terms are at most (r^n/|det|) env(r sigma c) rho each),
+    s_max is the largest dual norm summed and kappa the condition number
+    of the basis.  Each term is exact to a few ulps of that bound, except
+    that its phase 2 pi r s carries a relative error of a few ulps; the
+    pairwise sum of a shell adds at most log2 of its size ulps of M, and
+    adding C shells one after another adds C more.
+
+    With an exact ``count`` the radii are a sandwich's lower and upper
+    radius, whose margins are count - value and value - count: a radius
+    stops at the first shell whose tail is below its margin (rule
+    "margin").  Any radius stops once its tail is below ``tail_target``
+    (rule "target").  Without either, every radius runs to ``cutoff``.
     """
     n = basis.n
     W = np.linalg.inv(basis.entries).T
-    values = [t ** n * unit_ball_volume(n) / abs(basis.det) for t in radii]
+    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    # smallest singular value of W, so |W k| >= sigma |k|_inf
+    sigma = 1.0 / float(singular[0])
+    kappa = float(singular[0] / singular[-1])
+    det = abs(basis.det)
+    # margins are count - value below the count and value - count above
+    sides = (1.0, -1.0)
+    values = [t ** n * unit_ball_volume(n) / det for t in radii]
+    mass = list(values)
+    # envelope of |hat_chi| over the next shell, at each radius
+    envelope = [_ball_envelope(n, t * sigma) for t in radii]
     tails = [math.inf] * len(radii)
     shells = [0] * len(radii)
-    below = [0] * len(radii)
+    rules: list[str | None] = [None] * len(radii)
+    g_sum = 1.0
+    s_max = 0.0
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
         K, index = _shell_points(n, c)
         rho = _shell_rho(K, c, epsilon)
         s = _dual_norms(K, W)
+        s_max = max(s_max, float(np.max(s)))
+        rho_mass = 2.0 * float(np.sum(rho))
+        g_sum += 2.0 * _rho0_majorant(epsilon * c)
+        gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
         for i in active:
             t = radii[i]
-            half = (t ** n / abs(basis.det)) * hat_chi_ball(n, t * s) * rho
-            terms = half[index]
-            values[i] += float(np.sum(terms))
-            tails[i] = 2.0 * float(np.sum(np.abs(terms)))
+            scale = t ** n / det
+            half = scale * hat_chi_ball(n, t * s) * rho
+            values[i] += float(np.sum(half[index]))
+            mass[i] += scale * envelope[i] * rho_mass
+            envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
+            rounding = _ROUNDING * (
+                1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
+            tails[i] = scale * envelope[i] * gap + rounding
             shells[i] = c
-            if tail_target is not None:
-                below[i] = below[i] + 1 if tails[i] < tail_target else 0
-        active = [i for i in active if below[i] < 2]
+            if count is not None and tails[i] < sides[i] * (count - values[i]):
+                rules[i] = "margin"
+            elif tails[i] < tail_target:
+                rules[i] = "target"
+        active = [i for i in active if rules[i] is None]
         if not active:
             break
-    return list(zip(values, tails, shells))
-
-
-def smoothed_count(basis: LatticeBasis, t: float, epsilon: float,
-                   cutoff: int) -> SmoothedCount:
-    """Poisson-summation value of the mollified count at radius t.
-
-    The frequency sum is truncated at sup norm ``cutoff``; the reported
-    tail estimate is twice the absolute sum over the outermost shell.
-    """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("radius must be positive and finite")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError("epsilon must be positive and finite")
-    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
-        raise ValueError("cutoff must be an integer of at least 1")
-    [(value, tail, _)] = _poisson_sums(basis, (t,), epsilon, cutoff)
-    return SmoothedCount(t=t, epsilon=epsilon, cutoff=cutoff, value=value,
-                         tail_estimate=tail, tail_warning=tail > 0.5)
+    return [PoissonSum(*row) for row in zip(values, tails, shells, rules)]
 
 
 @dataclass(frozen=True)
@@ -270,6 +339,8 @@ class SandwichResult:
     lower_tail: float
     upper_tail: float
     cutoff: int
+    lower_rule: str | None
+    upper_rule: str | None
 
 
 # outermost shell a sandwich sum may reach before it is reported
@@ -285,10 +356,17 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
     radius shift that makes the sandwich rigorous is the mollifier
     support radius sqrt(n) * epsilon stretched by the largest singular
     value of the basis (for the identity this is just sqrt(n) * epsilon).
-    Inconclusive truncation is reported as status "inconclusive" with
-    holds = None rather than a verdict.  A non-finite input, or a
-    nonpositive epsilon or tail target, is rejected before any shell is
-    summed: the early stop would never fire.
+
+    The exact count comes first, so each smoothed count stops at the
+    first shell where its proven tail T is below its margin (count -
+    lower, upper - count), or else once T < tail_target; lower_rule and
+    upper_rule say which.  The verdict is "violated" when a margin is
+    below -T with T < tail_target, "holds" when both sums stopped with
+    their margins at least -T (proven when the rule is "margin", to
+    within T when it is "target"), and "inconclusive", with holds =
+    None, when a sum reaches _MAX_CUTOFF without stopping.  A non-finite
+    input, or a nonpositive epsilon or tail target, is rejected before
+    any shell is summed: the target could never be reached.
     """
     if not all(map(math.isfinite, (t, epsilon, tail_target))):
         raise ValueError("t, epsilon and tail_target must be finite")
@@ -301,15 +379,15 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
         )
     exact = count_points(basis, t)
-    (lower, lo_tail, c1), (upper, hi_tail, c2) = _poisson_sums(
-        basis, (t - shift, t + shift), epsilon, _MAX_CUTOFF, tail_target)
-    cutoff = max(c1, c2)
-    if lo_tail > tail_target or hi_tail > tail_target:
-        return SandwichResult(None, "inconclusive", t, epsilon, shift,
-                              exact, lower, upper, lo_tail, hi_tail, cutoff)
-    slack_lo = 2.0 * (lo_tail + 1e-6)
-    slack_hi = 2.0 * (hi_tail + 1e-6)
-    ok = (exact - lower >= -slack_lo) and (upper - exact >= -slack_hi)
-    return SandwichResult(ok, "holds" if ok else "violated", t, epsilon,
-                          shift, exact, lower, upper, lo_tail, hi_tail,
-                          cutoff)
+    lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
+                           _MAX_CUTOFF, exact, tail_target)
+    sides = ((exact - lo.value, lo.tail), (hi.value - exact, hi.tail))
+    if any(margin < -tail and tail < tail_target for margin, tail in sides):
+        holds, status = False, "violated"
+    elif lo.rule and hi.rule:
+        holds, status = True, "holds"
+    else:
+        holds, status = None, "inconclusive"
+    return SandwichResult(holds, status, t, epsilon, shift, exact, lo.value,
+                          hi.value, lo.tail, hi.tail,
+                          max(lo.shells, hi.shells), lo.rule, hi.rule)

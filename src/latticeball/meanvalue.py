@@ -178,15 +178,22 @@ class ScalingFit:
     max_residual: float
 
 
-def fit_scaling_exponent(points) -> ScalingFit:
-    """Least squares in log-log coordinates for (t, rms) pairs."""
-    pts = [(float(a), float(b)) for a, b in points]
-    if len({t for t, _ in pts}) < 3:
+def check_fit_grid(t_values) -> None:
+    """Refuse radii that fit_scaling_exponent cannot fit, so a caller can
+    check its grid before it spends a Monte Carlo run on it."""
+    t_values = [float(t) for t in t_values]
+    if len(set(t_values)) < 3:
         # fewer distinct t leave the slope undetermined: lstsq would
         # return its minimum-norm solution as if it were a fit
         raise ValueError("need at least three distinct t values")
-    if any(t <= 1.0 for t, _ in pts):
+    if any(t <= 1.0 for t in t_values):
         raise ValueError("t values must exceed 1")
+
+
+def fit_scaling_exponent(points) -> ScalingFit:
+    """Least squares in log-log coordinates for (t, rms) pairs."""
+    pts = [(float(a), float(b)) for a, b in points]
+    check_fit_grid(t for t, _ in pts)
     if any(r <= 0.0 for _, r in pts):
         raise ValueError("rms values must be positive (degenerate data)")
     x = np.log([t for t, _ in pts])

@@ -22,10 +22,15 @@ Haar sampling:
   that set factors as exp(-2 s1 - 2 s2) ds1 ds2 times Lebesgue in eta
   times Haar on the rotation, so s1 and s2 are independent shifted
   exponentials and no rejection is needed.  The Siegel set covers the
-  space of lattices with multiplicity >= 1, so the sampler carries a
-  small overcounting bias near the set's boundary; the mean-count
-  calibration against the Siegel formula measures that bias, and the
-  variance experiment refuses to report when calibration fails.
+  space of lattices with multiplicity >= 1, and no draw is weighted by
+  its multiplicity, so the sampler does not draw from Haar measure.
+  Measured against Siegel's mean V + 1 over 2e5 draws, its mean count
+  falls short by 22.5 % at t = 0.6 and by 1.2 % at t = 2: an undercount
+  concentrated at small radii.  The mean-count calibration against the
+  Siegel formula at t = 8 cannot see a bias that small there, and the
+  variance experiment refuses to report only when that calibration
+  fails.  ROADMAP item 1 describes the exact fix (accept a draw with
+  probability 4 over its multiplicity).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latticeball import fourier
+from latticeball import cli, fourier
 from latticeball.cli import main
 from latticeball.meanvalue import compute_cn
 
@@ -146,6 +146,20 @@ class TestTheorem1:
             code = run(tmp_path, "theorem1", dict(_THEOREM1, seed=value))
         assert code == CONFIG
         assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [[10, 80, 80], [4, 6, 9, 1]],
+                             ids=["two-distinct", "t-at-1"])
+    def test_unfittable_grid_refused_before_sampling(self, tmp_path, capsys,
+                                                     monkeypatch, grid):
+        """A grid the slope fit cannot use exits 3 before any sample is
+        drawn, not after the whole Monte Carlo."""
+        def no_sampling(*args):
+            raise AssertionError("mc_stats ran")
+
+        monkeypatch.setattr(cli, "mc_stats", no_sampling)
+        assert run(tmp_path, "theorem1", dict(_THEOREM1, t_grid=grid)) == (
+            CONFIG)
+        assert "t values" in capsys.readouterr().err
 
     def test_bad_family_rejected(self, tmp_path):
         cfg = {"n": 3, "t_grid": [4, 6, 9], "samples": 2,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, interpolate, special
 
 import latticeball
@@ -18,17 +19,17 @@ from latticeball.counting import count_points
 from latticeball.fourier import (
     MollifierSpec,
     SandwichResult,
-    SmoothedCount,
+    _ball_envelope,
     _dual_norms,
+    _majorant_tail,
     _poisson_sums,
+    _power_gap,
     _rho0_hat,
+    _rho0_majorant,
     _shell_points,
     _shell_rho,
     hat_chi_ball,
-    hat_chi_lattice,
-    mollifier_hat,
     sandwich_check,
-    smoothed_count,
 )
 
 from conftest import random_basis
@@ -97,44 +98,26 @@ class TestHatChiBall:
             hat_chi_ball(4, 1.0)
 
 
-class TestHatChiLattice:
-    def test_zero_frequency(self):
-        assert hat_chi_lattice(identity_basis(3), [0, 0, 0]) == pytest.approx(
-            4.0 * math.pi / 3.0)
-
-    def test_determinant_scaling(self):
-        b = LatticeBasis(2.0 * np.eye(3))
-        assert hat_chi_lattice(b, [0, 0, 0]) == pytest.approx(
-            4.0 * math.pi / 3.0 / 8.0)
-
-    def test_unit_frequency(self):
-        assert hat_chi_lattice(identity_basis(3), [1, 0, 0]) == pytest.approx(
-            -1.0 / math.pi)
-
-    def test_radiality(self, rng):
-        b = identity_basis(3)
-        a = hat_chi_lattice(b, [2, 1, 0])
-        c = hat_chi_lattice(b, [0, 1, 2])
-        assert a == pytest.approx(c, rel=1e-14)
-
-
 class TestMollifier:
     def test_unit_mass(self):
         spec = MollifierSpec.build(3, 0.1)
-        assert mollifier_hat(spec, np.zeros(3)) == pytest.approx(1.0,
-                                                                 abs=1e-9)
+        assert spec.rho0_hat(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_even(self):
         spec = MollifierSpec.build(3, 0.1)
         xi = np.array([0.7, -1.3, 2.2])
-        assert mollifier_hat(spec, xi) == pytest.approx(
-            mollifier_hat(spec, -xi), abs=1e-15)
+        assert np.array_equal(spec.rho0_hat(xi), spec.rho0_hat(-xi))
 
     def test_product_structure(self):
+        """A shell point with one nonzero coordinate weighs that
+        coordinate's 1-d transform: the others contribute rho0_hat(0) = 1."""
         spec = MollifierSpec.build(3, 0.1)
-        y = 1.37
-        assert mollifier_hat(spec, np.array([y, 0.0, 0.0])) == pytest.approx(
-            spec.rho0_hat(y), rel=1e-12)
+        K = np.array([[3, 0, 0], [0, -3, 0], [1, 0, 3]])
+        rho = _shell_rho(K, 3, spec.epsilon)
+        assert rho[0] == pytest.approx(spec.rho0_hat(0.3), rel=1e-12)
+        assert rho[1] == pytest.approx(spec.rho0_hat(0.3), rel=1e-12)
+        assert rho[2] == pytest.approx(
+            spec.rho0_hat(0.1) * spec.rho0_hat(0.3), rel=1e-12)
 
     def test_against_bspline_quadrature(self):
         """The closed form against the transform integral of scipy's
@@ -231,29 +214,34 @@ _SHEAR2 = np.array([[0.9, -0.15], [0.2, 1.1]])
 _SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
 
 # Values of the B-spline mollifier's sums, with the shells at which the
-# lower and upper sums stopped.  The first and last triples stop their two
-# radii at different shells, so each radius's early stop is pinned apart.
+# lower and upper sums stopped.  The last triple stops its two radii at
+# different shells and by different rules (its upper margin is under
+# 1e-10), so each radius's stop is pinned apart.
 _PINNED_SANDWICH = [
-    (_SHEAR3, 2.7, 0.2, (15, 16), SandwichResult(
+    (_SHEAR3, 2.7, 0.2, (6, 6), SandwichResult(
         holds=True, status="holds", t=2.7, epsilon=0.2,
-        shift=0.3660395432662094, count=83, lower=57.05609117106955,
-        upper=116.2605917129404, lower_tail=0.00013972693304124475,
-        upper_tail=2.1785562348491116e-05, cutoff=16)),
-    (np.eye(3), 2.5, 0.3, (11, 11), SandwichResult(
+        shift=0.3660395432662094, count=83, lower=57.04832642794749,
+        upper=116.1802202076855, lower_tail=18.640692534572334,
+        upper_tail=24.428032053890284, cutoff=6, lower_rule="margin",
+        upper_rule="margin")),
+    (np.eye(3), 2.5, 0.3, (4, 4), SandwichResult(
         holds=True, status="holds", t=2.5, epsilon=0.3,
-        shift=0.5196152422706631, count=81, lower=29.190831570025534,
-        upper=111.69704154376095, lower_tail=3.9236796441502015e-06,
-        upper_tail=7.045918436965067e-06, cutoff=11)),
-    (_SHEAR2, 2.6, 0.25, (12, 12), SandwichResult(
+        shift=0.5196152422706631, count=81, lower=29.250393546835646,
+        upper=111.2801769091178, lower_tail=6.363266192041187,
+        upper_tail=9.649643520319891, cutoff=4, lower_rule="margin",
+        upper_rule="margin")),
+    (_SHEAR2, 2.6, 0.25, (4, 4), SandwichResult(
         holds=True, status="holds", t=2.6, epsilon=0.25,
-        shift=0.39536979972681396, count=21, lower=14.411876097603237,
-        upper=28.04277533853243, lower_tail=3.322171864084772e-05,
-        upper_tail=3.004321921207207e-05, cutoff=12)),
-    (np.eye(2), 3.7, 0.05, (51, 50), SandwichResult(
+        shift=0.39536979972681396, count=21, lower=14.44881315391916,
+        upper=28.017681596219344, lower_tail=4.278675613815908,
+        upper_tail=4.987202296891707, cutoff=4, lower_rule="margin",
+        upper_rule="margin")),
+    (np.eye(2), 3.7, 0.05, (41, 68), SandwichResult(
         holds=True, status="holds", t=3.7, epsilon=0.05,
-        shift=0.07071067811865477, count=45, lower=44.92419504279837,
-        upper=44.999927218696484, lower_tail=0.0005369131778430033,
-        upper_tail=0.0008221039977066087, cutoff=51)),
+        shift=0.07071067811865477, count=45, lower=44.92340944293091,
+        upper=45.000000000245606, lower_tail=0.06614872589883385,
+        upper_tail=0.00093764929282581, cutoff=68, lower_rule="margin",
+        upper_rule="target")),
 ]
 
 
@@ -286,6 +274,15 @@ _EARLY_STOP_ITEMS = [
 ]
 
 
+# the shell far enough out to stand in for the full sum in tail checks
+_FAR = {2: 120, 3: 60}
+
+
+def far_value(basis: LatticeBasis, radius: float, epsilon: float) -> float:
+    [far] = _poisson_sums(basis, (radius,), epsilon, _FAR[basis.n])
+    return far.value
+
+
 class TestPinnedValues:
     @pytest.mark.parametrize("M, t, eps, shells, expected", _PINNED_SANDWICH)
     def test_sandwich_bit_identical(self, M, t, eps, shells, expected):
@@ -293,22 +290,18 @@ class TestPinnedValues:
         assert sandwich_check(basis, t, eps) == expected
         lower, upper = _poisson_sums(
             basis, (t - expected.shift, t + expected.shift), eps, 10_000,
-            1e-3)
-        assert (lower[2], upper[2]) == shells
-        assert (lower[0], upper[0]) == (expected.lower, expected.upper)
+            expected.count, 1e-3)
+        assert (lower.shells, upper.shells) == shells
+        assert (lower.value, upper.value) == (expected.lower, expected.upper)
 
     def test_smoothed_count_bit_identical(self):
-        assert smoothed_count(identity_basis(3), 2.5, 0.2, 12) == (
-            SmoothedCount(t=2.5, epsilon=0.2, cutoff=12,
-                          value=78.30774113339403,
-                          tail_estimate=0.015733531954508898,
-                          tail_warning=False))
+        """The sums themselves are those of the earlier code, bit for bit;
+        without a count or a target they run to the cutoff."""
+        [sm] = _poisson_sums(identity_basis(3), (2.5,), 0.2, 12)
+        assert (sm.value, sm.shells, sm.rule) == (78.30774113339403, 12, None)
         basis = LatticeBasis(np.array([[1.1, 0.2], [-0.1, 0.9]]))
-        assert smoothed_count(basis, 3.0, 0.1, 20) == (
-            SmoothedCount(t=3.0, epsilon=0.1, cutoff=20,
-                          value=27.01662082118946,
-                          tail_estimate=0.013370097056457171,
-                          tail_warning=False))
+        [sm] = _poisson_sums(basis, (3.0,), 0.1, 20)
+        assert (sm.value, sm.shells, sm.rule) == (27.01662082118946, 20, None)
 
 
 class TestEarlyStop:
@@ -320,36 +313,85 @@ class TestEarlyStop:
     @pytest.mark.parametrize(
         "M, t, eps", _EARLY_STOP_ITEMS + [p[:3] for p in _PINNED_SANDWICH])
     def test_tail_covers_truncation(self, M, t, eps):
-        """Each radius's reported tail bounds the change from summing on
-        to four times the shell where it stopped."""
+        """Each radius's proven tail bounds the change from summing on to
+        shell 60 (n = 3) or 120 (n = 2)."""
         basis = LatticeBasis(np.array(M))
-        shift = sandwich_check(basis, t, eps).shift
-        radii = (t - shift, t + shift)
-        stopped = _poisson_sums(basis, radii, eps, 10_000, 1e-3)
-        for radius, (value, tail, shells) in zip(radii, stopped):
-            [(far, _, _)] = _poisson_sums(basis, (radius,), eps, 4 * shells)
-            assert abs(value - far) <= tail
+        res = sandwich_check(basis, t, eps)
+        sides = ((t - res.shift, res.lower, res.lower_tail),
+                 (t + res.shift, res.upper, res.upper_tail))
+        for radius, value, tail in sides:
+            assert abs(value - far_value(basis, radius, eps)) <= tail
+
+
+class TestProvenTail:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_envelope_bounds_transform_beyond(self, n):
+        """env(s) >= |hat_chi_ball(n, s')| for every s' >= s on a grid 1e-3
+        apart over [0.05, 200], and env decreases."""
+        s = np.arange(0.05, 200.0, 1e-3)
+        env = np.array([_ball_envelope(n, x) for x in s])
+        beyond = np.maximum.accumulate(np.abs(hat_chi_ball(n, s))[::-1])[::-1]
+        assert np.all(env >= beyond)
+        assert np.all(np.diff(env) <= 0.0)
+
+    def test_majorant_bounds_rho0(self):
+        y = np.arange(-200.0, 200.0, 1e-3)
+        g = np.array([_rho0_majorant(x) for x in y])
+        assert np.all(g >= np.abs(_rho0_hat(y)))
+        assert _rho0_majorant(0.0) == 1.0
+
+    @pytest.mark.parametrize("epsilon", [0.02, 0.05, 0.3, 2.0])
+    @pytest.mark.parametrize("a", [1, 2, 7, 40])
+    def test_majorant_tail_bounds_sum(self, epsilon, a):
+        k = np.arange(a, a + 200_000)
+        total = sum(_rho0_majorant(epsilon * x) for x in k[:2000])
+        total += np.sum((4.0 / (math.pi * epsilon * k[2000:])) ** 8)
+        assert _majorant_tail(epsilon, a) >= total
+
+    def test_power_gap_expands(self):
+        for g, d, n in ((24.0, 0.3, 3), (1.0, 5.0, 2), (7.5, 1e-3, 3)):
+            assert _power_gap(g, d, n) == pytest.approx(
+                (g + d) ** n - g ** n, rel=1e-12)
+        # no cancellation when d is far below g's last bit
+        assert _power_gap(24.0, 1e-20, 3) == pytest.approx(3 * 24.0 ** 2
+                                                           * 1e-20)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           entries=st.lists(st.floats(-0.2, 0.2), min_size=9, max_size=9),
+           t=st.floats(2.5, 4.5), eps_u=st.floats(0.0, 1.0),
+           cutoff=st.integers(1, 20))
+    def test_tail_covers_truncation_near_identity(self, n, entries, t, eps_u,
+                                                  cutoff):
+        """The proven tail after any shell bounds the change from summing
+        on to the far shell, on the near-identity bases of criterion 3."""
+        M = np.eye(n) + np.reshape(entries[:n * n], (n, n))
+        if abs(np.linalg.det(M)) <= 0.5:
+            return
+        basis = LatticeBasis(M)
+        eps = (0.02 if n == 2 else 0.05) + 0.28 * eps_u
+        [near] = _poisson_sums(basis, (t,), eps, cutoff)
+        assert abs(near.value - far_value(basis, t, eps)) <= near.tail
 
 
 class TestSmoothedCount:
     def test_tail_covers_cutoff_gap(self):
         b = identity_basis(3)
-        c1 = smoothed_count(b, 4.001, 0.05, 40)
-        c2 = smoothed_count(b, 4.001, 0.05, 80)
-        assert abs(c2.value - c1.value) <= c1.tail_estimate + 1e-9
+        [c1, c2] = [_poisson_sums(b, (4.001,), 0.05, c)[0] for c in (40, 80)]
+        assert abs(c2.value - c1.value) <= c1.tail
 
     def test_bracketed_by_shifted_counts(self):
         b = identity_basis(3)
         eps = 0.05
         shift = math.sqrt(3.0) * eps
-        sm = smoothed_count(b, 4.001, eps, 80)
+        [sm] = _poisson_sums(b, (4.001,), eps, 80)
         lo = count_points(b, 4.001 - shift)
         hi = count_points(b, 4.001 + shift)
-        assert lo - 2e-3 <= sm.value <= hi + 2e-3
+        assert lo - sm.tail <= sm.value <= hi + sm.tail
 
     def test_large_epsilon_kills_remainder(self):
         b = identity_basis(3)
-        sm = smoothed_count(b, 4.001, 10.0, 60)
+        [sm] = _poisson_sums(b, (4.001,), 10.0, 60)
         volume = 4.0 * math.pi / 3.0 * 4.001 ** 3
         assert abs(sm.value - volume) < 1e-3
 
@@ -359,37 +401,25 @@ class TestSmoothedCount:
         exact = count_points(b, t)
         last = None
         for eps in (0.2, 0.1, 0.05):
-            sm = smoothed_count(b, t, eps, 400)
+            [sm] = _poisson_sums(b, (t,), eps, 400)
             last = abs(sm.value - exact)
         assert last < 0.5
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, monkeypatch, t):
-        """A NaN or infinite radius would sum every shell to the cutoff and
-        report a NaN tail as no warning; it is refused before any shell."""
+        """A NaN or infinite radius would sum every shell to the cutoff;
+        the sandwich refuses it before any shell."""
         def no_shells(*args):
             raise AssertionError("a Poisson shell was built")
 
         monkeypatch.setattr(fourier, "_shell_points", no_shells)
         with pytest.raises(ValueError, match="finite"):
-            smoothed_count(identity_basis(3), t, 0.1, 3)
-
-    @pytest.mark.parametrize("cutoff", [2.5, math.nan, 0])
-    def test_bad_cutoff_rejected(self, monkeypatch, cutoff):
-        """A cutoff that is not a positive integer is refused before any
-        shell is built, not left to fail inside range()."""
-        def no_shells(*args):
-            raise AssertionError("a Poisson shell was built")
-
-        monkeypatch.setattr(fourier, "_shell_points", no_shells)
-        with pytest.raises(ValueError, match="cutoff"):
-            smoothed_count(identity_basis(3), 2.5, 0.1, cutoff)
+            sandwich_check(identity_basis(3), t, 0.1)
 
     def test_tail_warning_flag(self):
-        b = identity_basis(3)
-        sm = smoothed_count(b, 4.001, 0.01, 2)
-        assert sm.tail_warning
-        assert sm.tail_estimate > 0.5
+        """Cut off far too early, the proven tail says so."""
+        [sm] = _poisson_sums(identity_basis(3), (4.001,), 0.01, 2)
+        assert sm.tail > 0.5
 
 
 class TestSandwich:
@@ -397,12 +427,45 @@ class TestSandwich:
         res = sandwich_check(identity_basis(3), 3.001, 0.1)
         assert res.status == "holds"
         assert res.holds is True
-        assert res.lower <= res.count + 2e-3
-        assert res.count <= res.upper + 2e-3
+        assert res.lower <= res.count + res.lower_tail
+        assert res.count <= res.upper + res.upper_tail
 
     def test_z2_case(self):
         res = sandwich_check(identity_basis(2), 2.5, 0.2)
         assert res.status == "holds"
+
+    def test_margin_rule_proves_the_bracket(self):
+        res = sandwich_check(identity_basis(3), 3.001, 0.1)
+        assert (res.lower_rule, res.upper_rule) == ("margin", "margin")
+        assert res.count - res.lower > res.lower_tail
+        assert res.upper - res.count > res.upper_tail
+
+    def test_zero_margins_fall_back_to_target(self):
+        """No point of Z^2 has its norm within 2 shifts of t = 2.5 (the
+        nearest are sqrt 5 and sqrt 8), so both smoothed counts equal the
+        count and only the tail target can stop them."""
+        res = sandwich_check(identity_basis(2), 2.5, 0.05, tail_target=1e-3)
+        assert (res.status, res.lower_rule, res.upper_rule) == (
+            "holds", "target", "target")
+        assert abs(res.lower - res.count) <= res.lower_tail < 1e-3
+        assert abs(res.upper - res.count) <= res.upper_tail < 1e-3
+
+    def test_wrong_count_is_violated(self, monkeypatch):
+        """A count two too low sits two below the lower sum, far beyond a
+        tail under the target: a proven violation."""
+        monkeypatch.setattr(fourier, "count_points",
+                            lambda basis, t: count_points(basis, t) - 2)
+        res = sandwich_check(identity_basis(2), 2.5, 0.05)
+        assert (res.holds, res.status) == (False, "violated")
+        assert res.count - res.lower < -res.lower_tail
+        assert res.lower_tail < 1e-3
+
+    def test_cutoff_reached_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(fourier, "_MAX_CUTOFF", 3)
+        res = sandwich_check(identity_basis(2), 2.5, 0.05)
+        assert (res.holds, res.status, res.cutoff) == (None, "inconclusive",
+                                                       3)
+        assert (res.lower_rule, res.upper_rule) == (None, None)
 
     def test_epsilon_too_large(self):
         with pytest.raises(ValueError):
