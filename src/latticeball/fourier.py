@@ -250,8 +250,7 @@ class PoissonSum(NamedTuple):
 
 
 def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
-                  count: int | None = None, tail_target: float = 0.0
-                  ) -> list[PoissonSum]:
+                  margins=None, tail_target: float = 0.0) -> list[PoissonSum]:
     """Main term plus shells 1..cutoff, at each radius of ``radii``, for
     the mollifier of width ``epsilon``, each with its proven tail.
 
@@ -272,12 +271,14 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     pairwise sum of a shell adds at most log2 of its size ulps of M, and
     adding C shells one after another adds C more.
 
-    With an exact ``count`` the radii are a sandwich's lower and upper
-    radius, whose margins are count - value and value - count: a radius
-    stops at the first shell whose tail is below its margin (rule
-    "margin").  Any radius stops once its tail is below ``tail_target``
-    (rule "target").  Without either, every radius runs to ``cutoff``.
+    ``margins``, if given, holds one function per radius that maps the
+    radius's value to its margin: a radius stops at the first shell whose
+    tail is below its margin (rule "margin").  Any radius stops once its
+    tail is below ``tail_target`` (rule "target").  Without either, every
+    radius runs to ``cutoff``.
     """
+    if margins is not None and len(margins) != len(radii):
+        raise ValueError("margins needs one function per radius")
     n = basis.n
     W = np.linalg.inv(basis.entries).T
     singular = np.linalg.svd(basis.entries, compute_uv=False)
@@ -285,8 +286,6 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     sigma = 1.0 / float(singular[0])
     kappa = float(singular[0] / singular[-1])
     det = abs(basis.det)
-    # margins are count - value below the count and value - count above
-    sides = (1.0, -1.0)
     values = [t ** n * unit_ball_volume(n) / det for t in radii]
     mass = list(values)
     # envelope of |hat_chi| over the next shell, at each radius
@@ -316,7 +315,7 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
                 1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
             tails[i] = scale * envelope[i] * gap + rounding
             shells[i] = c
-            if count is not None and tails[i] < sides[i] * (count - values[i]):
+            if margins is not None and tails[i] < margins[i](values[i]):
                 rules[i] = "margin"
             elif tails[i] < tail_target:
                 rules[i] = "target"
@@ -379,9 +378,11 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
         )
     exact = count_points(basis, t)
+    margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _MAX_CUTOFF, exact, tail_target)
-    sides = ((exact - lo.value, lo.tail), (hi.value - exact, hi.tail))
+                           _MAX_CUTOFF, margins, tail_target)
+    sides = [(margin(sm.value), sm.tail)
+             for margin, sm in zip(margins, (lo, hi))]
     if any(margin < -tail and tail < tail_target for margin, tail in sides):
         holds, status = False, "violated"
     elif lo.rule and hi.rule:

@@ -215,8 +215,9 @@ _SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
 
 # Values of the B-spline mollifier's sums, with the shells at which the
 # lower and upper sums stopped.  The last triple stops its two radii at
-# different shells and by different rules (its upper margin is under
-# 1e-10), so each radius's stop is pinned apart.
+# different shells and by different rules (its upper margin, about
+# 2.5e-10, is too thin for the margin rule), so each radius's stop is
+# pinned apart.
 _PINNED_SANDWICH = [
     (_SHEAR3, 2.7, 0.2, (6, 6), SandwichResult(
         holds=True, status="holds", t=2.7, epsilon=0.2,
@@ -288,9 +289,10 @@ class TestPinnedValues:
     def test_sandwich_bit_identical(self, M, t, eps, shells, expected):
         basis = LatticeBasis(M)
         assert sandwich_check(basis, t, eps) == expected
+        count = expected.count
         lower, upper = _poisson_sums(
             basis, (t - expected.shift, t + expected.shift), eps, 10_000,
-            expected.count, 1e-3)
+            (lambda v: count - v, lambda v: v - count), 1e-3)
         assert (lower.shells, upper.shells) == shells
         assert (lower.value, upper.value) == (expected.lower, expected.upper)
 
@@ -387,7 +389,7 @@ class TestSmoothedCount:
         [sm] = _poisson_sums(b, (4.001,), eps, 80)
         lo = count_points(b, 4.001 - shift)
         hi = count_points(b, 4.001 + shift)
-        assert lo - sm.tail <= sm.value <= hi + sm.tail
+        assert lo - 2e-3 <= sm.value <= hi + 2e-3
 
     def test_large_epsilon_kills_remainder(self):
         b = identity_basis(3)
@@ -404,6 +406,11 @@ class TestSmoothedCount:
             [sm] = _poisson_sums(b, (t,), eps, 400)
             last = abs(sm.value - exact)
         assert last < 0.5
+
+    def test_margins_need_one_per_radius(self):
+        with pytest.raises(ValueError, match="one function per radius"):
+            _poisson_sums(identity_basis(2), (2.5,), 0.1, 3,
+                          (lambda v: 1.0, lambda v: 1.0))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, monkeypatch, t):
