@@ -73,6 +73,5 @@ from .sampling import (
     Seed,
     rng_for,
     sample_compact,
-    sample_det_band,
     sample_haar_unimodular,
 )

@@ -42,7 +42,7 @@ def _as_square_float(mat) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError("dimension must be at least 2")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -61,8 +61,9 @@ class LatticeBasis:
         # Hadamard: |det| <= product of the column norms, with equality
         # for orthogonal columns, so the ratio measures how far the
         # columns are from dependent whatever their scale or shear;
-        # math.hypot over the rows is cheaper than numpy on a 3 x 3
-        volume = math.prod(map(math.hypot, *arr))
+        # math.hypot over the rows as Python floats is cheaper than
+        # numpy on a 3 x 3
+        volume = math.prod(map(math.hypot, *arr.tolist()))
         if not abs(d) > DET_GUARD * volume:
             raise SingularBasisError(
                 f"determinant {d:.3e} below guard for column-norm "

@@ -164,8 +164,8 @@ def _t_grid_from_config(cfg: dict) -> list:
 
 def _seed(cfg: dict) -> int:
     seed = _number(cfg.get("seed", 0), "seed", int)
-    # the generator keys on the seed modulo 2**64, so a seed outside
-    # that range would silently repeat another seed's stream
+    # the generator refuses a key word outside [0, 2**64); refusing it
+    # here makes it a config error instead of a traceback
     if not 0 <= seed < 2 ** 64:
         raise ConfigError(f"'seed' must be in [0, 2**64), not {seed}")
     return seed

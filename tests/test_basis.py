@@ -56,6 +56,14 @@ class TestLatticeBasis:
         with pytest.raises(ValueError):
             LatticeBasis(np.array([[2.0]]))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            LatticeBasis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    def test_three_dimensional_array_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            LatticeBasis(np.ones((2, 2, 2)))
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             LatticeBasis(np.array([[1.0, 0.0], [0.0, np.inf]]))

@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from latticeball.basis import identity_basis, iwasawa_decompose
-from latticeball.counting import count_points
+from latticeball.basis import LatticeBasis, iwasawa_decompose
+from latticeball.counting import count_many, count_points
 from latticeball.sampling import (
     SIEGEL_RATIO,
     CompactFamilySpec,
     HaarSamplerConfig,
     Seed,
+    _sample_fundamental_tau,
+    _so3_columns,
     rng_for,
     sample_compact,
-    sample_det_band,
     sample_haar_unimodular,
 )
 from latticeball.meanvalue import mc_stats, siegel_calibration
@@ -34,6 +35,21 @@ class TestSeed:
     def test_child_offsets(self):
         s = Seed(5, 100)
         assert s.child(3) == Seed(5, 103)
+
+    def test_key_range_ends(self):
+        top = 2 ** 64 - 1
+        a = rng_for(Seed(top, top)).uniform(size=8)
+        b = rng_for(Seed(0, top)).uniform(size=8)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [Seed(5, 2 ** 64 - 1).child(1),
+                                      Seed(2 ** 64, 0), Seed(-1, 0),
+                                      Seed(5, -1)])
+    def test_out_of_range_seed_refused(self, seed):
+        # reduced modulo 2**64, Seed(5, 2**64 - 1).child(1) would draw
+        # exactly what Seed(5, 0) draws
+        with pytest.raises(ValueError):
+            rng_for(seed)
 
 
 class TestSampleCompact:
@@ -104,7 +120,6 @@ class TestHaar2d:
             theta = 0.7
             K = np.array([[math.cos(theta), -math.sin(theta)],
                           [math.sin(theta), math.cos(theta)]])
-            from latticeball.basis import LatticeBasis
             Y = LatticeBasis(K @ X.entries)
             assert count_points(Y, 3.0) == count_points(X, 3.0)
 
@@ -143,29 +158,73 @@ class TestHaar3d:
         assert abs(resid) <= 3.0 * stderr
 
 
-class TestDetBand:
-    config = HaarSamplerConfig(n=2)
+def _lapack_reference(n, seed):
+    """The basis built with numpy's QR and matrix products from the same
+    draws, in the same order, as sample_haar_unimodular; returns the
+    rotation K and the basis entries."""
+    gen = rng_for(seed)
+    if n == 2:
+        x, y = _sample_fundamental_tau(gen)
+        shape = np.array([[1.0, x], [0.0, y]]) / math.sqrt(y)
+        theta = gen.uniform(0.0, 2.0 * math.pi)
+        K = np.array([[math.cos(theta), -math.sin(theta)],
+                      [math.sin(theta), math.cos(theta)]])
+        X = K @ shape
+    else:
+        s_min = math.log(SIEGEL_RATIO)
+        s1 = s_min + gen.exponential(0.5)
+        s2 = s_min + gen.exponential(0.5)
+        v1 = (4.0 * s1 + 2.0 * s2) / 3.0
+        v2 = (2.0 * s2 - 2.0 * s1) / 3.0
+        a = np.array([math.exp(v1), math.exp(v2), math.exp(-v1 - v2)])
+        eta = gen.uniform(-0.5, 0.5, 3)
+        N = np.array([[1.0, eta[0], eta[1]],
+                      [0.0, 1.0, eta[2]],
+                      [0.0, 0.0, 1.0]])
+        Q, R = np.linalg.qr(gen.standard_normal((3, 3)))
+        K = Q * np.sign(np.diag(R))
+        if np.linalg.det(K) < 0:
+            K[:, 0] = -K[:, 0]
+        X = K @ np.diag(1.0 / np.sqrt(a)) @ N
+    X[:, -1] /= np.linalg.det(X)
+    return K, X
 
-    def test_band_membership(self):
-        for i in range(200):
-            X = sample_det_band(0.5, 2.0, self.config, Seed(21, i))
-            assert 0.5 - 1e-9 <= abs(X.det) <= 2.0 + 1e-9
 
-    def test_degenerate_band(self):
-        X = sample_det_band(1.5, 1.5 * (1.0 + 1e-12), self.config, Seed(22))
-        assert abs(X.det) == pytest.approx(1.5, rel=1e-9)
+def _gaussians(seed):
+    """The nine Gaussians the n = 3 sampler turns into its rotation."""
+    gen = rng_for(seed)
+    gen.exponential(0.5, 2)
+    gen.uniform(-0.5, 0.5, 3)
+    return gen.standard_normal((3, 3))
 
-    def test_log_uniform_ks(self):
-        M = 100_000
-        a, b = 0.5, 2.0
-        n = 2
-        vals = np.empty(M)
-        for i in range(M):
-            X = sample_det_band(a, b, self.config, Seed(23, i))
-            vals[i] = math.log(abs(X.det) ** (1.0 / n))
-        lo, hi = math.log(a ** (1.0 / n)), math.log(b ** (1.0 / n))
-        u = np.sort((vals - lo) / (hi - lo))
-        grid = (np.arange(1, M + 1)) / M
-        ks = float(np.max(np.maximum(np.abs(u - grid),
-                                     np.abs(u - (grid - 1.0 / M)))))
-        assert ks < 0.02
+
+class TestScalarConstruction:
+    def test_rotation_in_so3(self):
+        for i in range(2000):
+            K = np.array(_so3_columns(_gaussians(Seed(30, i)).ravel().tolist())).T
+            assert np.max(np.abs(K.T @ K - np.eye(3))) <= 1e-14
+            assert abs(np.linalg.det(K) - 1.0) <= 1e-14
+
+    def test_rotation_matches_qr(self):
+        for i in range(2000):
+            K = np.array(_so3_columns(_gaussians(Seed(30, i)).ravel().tolist())).T
+            K_ref, _ = _lapack_reference(3, Seed(30, i))
+            assert np.max(np.abs(K - K_ref)) <= 1e-12, i
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_basis_matches_reference(self, n):
+        config = HaarSamplerConfig(n=n)
+        for i in range(2000):
+            X = sample_haar_unimodular(config, Seed(30, i)).entries
+            _, X_ref = _lapack_reference(n, Seed(30, i))
+            scale = np.max(np.abs(X_ref))
+            assert np.max(np.abs(X - X_ref)) <= 1e-12 * scale, i
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_counts_match_reference(self, n):
+        config = HaarSamplerConfig(n=n)
+        seeds = [Seed(31, i) for i in range(20_000)]
+        bases = [sample_haar_unimodular(config, s) for s in seeds]
+        refs = [LatticeBasis(_lapack_reference(n, s)[1]) for s in seeds]
+        for t in (0.6, 2.0, 8.0):
+            assert np.array_equal(count_many(bases, t), count_many(refs, t)), t
