@@ -12,16 +12,10 @@ __version__ = "0.1.0"
 from .basis import (
     IwasawaForm,
     LatticeBasis,
-    NotUnimodularError,
     SingularBasisError,
-    UnimodularMatrix,
-    basis_from_json,
-    basis_to_json,
-    dual_norm,
     gram,
     identity_basis,
     iwasawa_decompose,
-    reduce_to_nplus,
     transformed_coords,
 )
 from .counting import (
@@ -47,7 +41,6 @@ from .meanvalue import (
     compute_cn,
     fit_scaling_exponent,
     mc_stats,
-    rogers_second_moment,
     scaling_identity_check,
     siegel_calibration,
     siegel_mean,
@@ -59,7 +52,6 @@ from .oscillatory import (
     ResolutionError,
     VdcReport,
     I_kl,
-    I_kl_eta_average,
     discriminant,
     hessian_bound_check,
     phase,

@@ -3,25 +3,21 @@
 A basis is a real invertible matrix whose columns generate the lattice.
 Everything downstream (counting, Fourier sums, oscillatory phases) works
 through the objects defined here: Gram matrices, the orthogonal-diagonal-
-unipotent factorization X = K A N, integer column reduction into the
-half-open unipotent slab, and the dual-norm coordinates that diagonalize
-the phase functions.
+unipotent factorization X = K A N, and the unipotent-transformed
+frequency coordinates that the oscillatory phases are written in.
 
 Conventions, fixed once here so every module agrees:
 
 * columns of ``entries`` are the generators;
 * A is positive diagonal with ``A[i, i] = 1 / sqrt(a[i])``;
 * N is unit upper triangular, its strict upper entries packed row-major
-  into ``eta`` (for n = 3: eta = (N12, N13, N23));
-* the slab form keeps every eta entry in [1, 2).
+  into ``eta`` (for n = 3: eta = (N12, N13, N23)).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,10 +26,6 @@ DET_GUARD = 1e-12
 
 class SingularBasisError(ValueError):
     """Matrix is singular or too close to it to trust as a basis."""
-
-
-class NotUnimodularError(ValueError):
-    """Integer matrix whose determinant is not +-1."""
 
 
 def _as_square_float(mat) -> np.ndarray:
@@ -122,15 +114,6 @@ class IwasawaForm:
         return self.K @ self.A_matrix() @ self.N_matrix()
 
 
-def eta_index(n: int, i: int, j: int) -> int:
-    """Position of strict-upper entry (i, j), 0-based, in row-major packing."""
-    if not 0 <= i < j < n:
-        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j}) for n={n}")
-    # rows above i contribute (n-1) + (n-2) + ... + (n-i) entries
-    before = i * (n - 1) - i * (i - 1) // 2
-    return before + (j - i - 1)
-
-
 def eta_to_unipotent(eta) -> np.ndarray:
     eta = np.asarray(eta, dtype=float).ravel()
     L = eta.size
@@ -183,98 +166,8 @@ def iwasawa_decompose(basis: LatticeBasis) -> IwasawaForm:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices and slab reduction
+# Transformed coordinates
 # ---------------------------------------------------------------------------
-
-
-def _integer_det(mat: np.ndarray) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    m = [[Fraction(int(x)) for x in row] for row in mat]
-    n = len(m)
-    sign = 1
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    assert out.denominator == 1
-    return int(out)
-
-
-@dataclass(frozen=True)
-class UnimodularMatrix:
-    """Integer matrix with determinant exactly +-1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.issubdtype(arr.dtype, np.integer):
-            rounded = np.rint(arr)
-            if not np.array_equal(rounded, arr):
-                raise NotUnimodularError("entries are not integers")
-            arr = rounded.astype(np.int64)
-        d = _integer_det(arr)
-        if d not in (1, -1):
-            raise NotUnimodularError(f"integer determinant is {d}, not +-1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def det(self) -> int:
-        return _integer_det(self.entries)
-
-
-def reduce_to_nplus(basis: LatticeBasis) -> tuple[UnimodularMatrix, LatticeBasis]:
-    """Integer column operations driving every eta entry into [1, 2).
-
-    Adding an integer multiple of column i to column j (i < j) changes
-    N[i, j] by that multiple and perturbs only rows above i in column j,
-    so working each column bottom-up fixes every entry exactly once.
-    For n = 3 the order is eta1, eta3, then eta2.  Ties at the slab edge
-    resolve downward: the shift is -floor(value - 1).
-    """
-    form = iwasawa_decompose(basis)
-    N = form.N_matrix()
-    n = basis.n
-    U = np.eye(n, dtype=np.int64)
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            m = -math.floor(N[i, j] - 1.0)
-            if m != 0:
-                N[:, j] += m * N[:, i]
-                U[:, j] += m * U[:, i]
-    reduced = LatticeBasis(basis.entries @ U)
-    return UnimodularMatrix(U), reduced
-
-
-# ---------------------------------------------------------------------------
-# Dual norms and transformed coordinates
-# ---------------------------------------------------------------------------
-
-
-def dual_norm(basis: LatticeBasis, k) -> float:
-    """Euclidean norm of (X^{-T}) k, the length of k in the dual metric."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (basis.n,):
-        raise ValueError(f"frequency vector must have shape ({basis.n},)")
-    w = np.linalg.solve(basis.entries.T, k)
-    return float(np.linalg.norm(w))
 
 
 def transformed_coords(eta, k) -> np.ndarray:
@@ -293,27 +186,3 @@ def transformed_coords(eta, k) -> np.ndarray:
         out[i] = k[i] - sum(N[j, i] * out[j] for j in range(i))
     return out
 
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-# ---------------------------------------------------------------------------
-
-
-def basis_to_json(basis: LatticeBasis) -> str:
-    cols = [list(map(float, basis.entries[:, j])) for j in range(basis.n)]
-    return json.dumps({"n": basis.n, "columns": cols})
-
-
-def basis_from_json(text: str) -> LatticeBasis:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"invalid JSON for basis: {e}") from e
-    if not isinstance(obj, dict) or "n" not in obj or "columns" not in obj:
-        raise ValueError('basis JSON must be {"n": int, "columns": [[...], ...]}')
-    n = obj["n"]
-    cols = obj["columns"]
-    if not isinstance(n, int) or len(cols) != n or any(len(c) != n for c in cols):
-        raise ValueError("basis JSON has inconsistent dimensions")
-    mat = np.array(cols, dtype=float).T
-    return LatticeBasis(mat)

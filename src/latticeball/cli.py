@@ -10,9 +10,9 @@ Result and data files are deterministic for a fixed config and seed;
 the manifest carries wall-clock time and is the one file that differs
 between reruns.
 
-Exit codes: 0 success, 2 bad invocation or unreadable config, 3 config
-values that fail validation, 4 calibration failure, 5 quadrature
-resolution failure.
+Exit codes: 0 success, 2 bad invocation, unreadable config or an --out
+path that cannot be a directory, 3 config values that fail validation,
+4 calibration failure, 5 quadrature resolution failure.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def _run_theorem1(cfg: dict):
     band = _array(cfg["band"], "band") if "band" in cfg else default_band
     if band is not None and len(band) != 2:
         raise InputError("band must be a [low, high] pair")
+    if band is not None and band[0] > band[1]:
+        raise ConfigError(f"band {band} has its low end above its high end")
     per_t = []
     rows = []
     for ti, t in enumerate(grid):
@@ -465,6 +467,16 @@ def main(argv=None) -> int:
     if flags.keys() & {"s_max", "points"}:
         settings.pop("s_grid", None)
 
+    # made before the experiment runs, so an unusable --out costs nothing
+    out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot use --out {args.out!r} as a directory: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
+
     start = time.perf_counter()
     try:
         result, csv_payload = _COMMANDS[command](settings)
@@ -482,9 +494,7 @@ def main(argv=None) -> int:
         return EXIT_RESOLUTION
     wall = time.perf_counter() - start
 
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         outputs = ["result.json"]
         _write_json(out_dir / "result.json", result)
         if csv_payload is not None:

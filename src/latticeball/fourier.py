@@ -159,10 +159,6 @@ class MollifierSpec:
             raise ValueError("dimension must be at least 2")
         return cls(n=n, epsilon=epsilon, support_radius=math.sqrt(n))
 
-    def rho0_hat(self, y):
-        out = _rho0_hat(y)
-        return float(out) if out.ndim == 0 else out
-
 
 def _rho0_majorant(y: float) -> float:
     """g(y) = min(1, (m / (2 pi |y|))^m) >= |rho0_hat(y)| with m =

@@ -87,15 +87,6 @@ def siegel_mean(n: int, t: float) -> float:
     return unit_ball_volume(n) * t ** n + 1.0
 
 
-def rogers_second_moment(n: int, t: float, cn: CnResult) -> float:
-    if n < 3:
-        raise ValueError("second-moment formula requires n >= 3")
-    if cn.n != n:
-        raise ValueError("cn was computed for a different dimension")
-    vol = unit_ball_volume(n) * t ** n
-    return vol * vol + 1.0 + cn.value * vol
-
-
 def variance_prediction(n: int, t: float, cn: CnResult) -> float:
     """Var[N - vol] = 1 + (c_n - 2) vol(tB) over unimodular lattices."""
     if n < 3:

@@ -24,7 +24,6 @@ folded into four running sums per component and rotated at the end.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
 import math
@@ -283,27 +282,6 @@ def I_kl(spec: OscillatorySpec, t: float, points_per_axis=None,
             f"exceeds {_TARGET_REL:.1e} * box volume {box_vol:.3e}"
         )
     return fine_val
-
-
-def I_kl_eta_average(spec: OscillatorySpec, t: float, nodes: int = 8,
-                     **quad_kwargs) -> complex:
-    """Average of I_kl over the unipotent slab [1, 2) per eta axis."""
-    d = spec.eta.size
-    x, w = _leggauss(nodes)
-    x = 1.5 + 0.5 * x
-    w = 0.5 * w
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    wgts = np.meshgrid(*([w] * d), indexing="ij")
-    total = 0.0 + 0.0j
-    flat = [g.ravel() for g in grids]
-    wflat = np.ones(flat[0].size)
-    for wg in wgts:
-        wflat = wflat * wg.ravel()
-    for idx in range(flat[0].size):
-        eta = np.array([flat[j][idx] for j in range(d)])
-        sub = dataclasses.replace(spec, eta=eta)
-        total += wflat[idx] * I_kl(sub, t, **quad_kwargs)
-    return complex(total)
 
 
 # ---------------------------------------------------------------------------

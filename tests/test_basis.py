@@ -1,22 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from latticeball.basis import (
     LatticeBasis,
-    NotUnimodularError,
     SingularBasisError,
-    UnimodularMatrix,
-    basis_from_json,
-    basis_to_json,
-    dual_norm,
-    eta_index,
     eta_to_unipotent,
     gram,
     identity_basis,
     iwasawa_decompose,
-    reduce_to_nplus,
     transformed_coords,
     unipotent_to_eta,
 )
@@ -71,21 +62,6 @@ class TestLatticeBasis:
     def test_scaled(self):
         b = identity_basis(2).scaled(3.0)
         assert b.det == pytest.approx(9.0)
-
-    def test_json_round_trip(self):
-        b = LatticeBasis(np.array([[1.0, 0.7], [0.0, 1.1]]))
-        again = basis_from_json(basis_to_json(b))
-        assert np.array_equal(again.entries, b.entries)
-
-    def test_json_column_convention(self):
-        text = '{"n": 2, "columns": [[1.0, 2.0], [3.0, 4.0]]}'
-        b = basis_from_json(text)
-        assert np.array_equal(b.entries[:, 0], [1.0, 2.0])
-        assert np.array_equal(b.entries[:, 1], [3.0, 4.0])
-
-    def test_json_malformed(self):
-        with pytest.raises(ValueError):
-            basis_from_json('{"n": 2, "columns": [[1.0], [0.0, 1.0]]}')
 
 
 class TestGram:
@@ -152,104 +128,12 @@ class TestIwasawa:
 
 
 class TestEtaPacking:
-    def test_index_row_major(self):
-        assert eta_index(3, 0, 1) == 0
-        assert eta_index(3, 0, 2) == 1
-        assert eta_index(3, 1, 2) == 2
-
     def test_round_trip(self, rng):
         for _ in range(50):
             eta = rng.normal(size=6)
             N = eta_to_unipotent(eta)
             assert np.allclose(unipotent_to_eta(N), eta)
             assert np.allclose(np.diag(N), 1.0)
-
-
-class TestReduceToNplus:
-    def test_identity_lands_on_ones(self):
-        U, Y = reduce_to_nplus(identity_basis(3))
-        cols = Y.entries
-        assert np.allclose(cols[:, 0], [1, 0, 0])
-        assert np.allclose(cols[:, 1], [1, 1, 0])
-        assert np.allclose(cols[:, 2], [1, 1, 1])
-        eta = iwasawa_decompose(Y).eta
-        assert np.allclose(eta, [1.0, 1.0, 1.0])
-
-    def test_already_reduced_is_noop(self):
-        X = LatticeBasis(np.array([[1.0, 1.5, 1.2],
-                                   [0.0, 1.0, 1.5],
-                                   [0.0, 0.0, 1.0]]))
-        U, Y = reduce_to_nplus(X)
-        assert np.array_equal(U.entries, np.eye(3, dtype=np.int64))
-        assert np.array_equal(Y.entries, X.entries)
-
-    def test_slab_membership_and_lattice_equality(self, rng):
-        for _ in range(60):
-            X = random_basis(rng, 3)
-            U, Y = reduce_to_nplus(X)
-            eta = iwasawa_decompose(Y).eta
-            assert np.all(eta >= 1.0 - 1e-9)
-            assert np.all(eta < 2.0 + 1e-9)
-            for t in (1.0, 3.0, 5.0):
-                assert count_points(X, t) == count_points(Y, t)
-
-    def test_two_dimensional_slab(self, rng):
-        for _ in range(60):
-            X = random_basis(rng, 2)
-            U, Y = reduce_to_nplus(X)
-            eta = iwasawa_decompose(Y).eta
-            assert 1.0 - 1e-9 <= eta[0] < 2.0 + 1e-9
-
-
-class TestUnimodularMatrix:
-    def test_determinant_plus_minus_one(self):
-        UnimodularMatrix(np.array([[1, 1], [0, 1]]))
-        UnimodularMatrix(np.array([[0, 1], [1, 0]]))
-
-    def test_rejects_other_determinants(self):
-        with pytest.raises(NotUnimodularError):
-            UnimodularMatrix(np.array([[1, 0], [0, 2]]))
-
-    def test_rejects_non_integer(self):
-        with pytest.raises(ValueError):
-            UnimodularMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_large_entries_exact(self):
-        M = np.array([[10 ** 9, 10 ** 9 - 1], [10 ** 9 + 1, 10 ** 9]],
-                     dtype=np.int64)
-        UnimodularMatrix(M)
-
-
-class TestDualNorm:
-    def test_identity_euclidean(self):
-        assert dual_norm(identity_basis(3), [1, 2, 2]) == pytest.approx(3.0)
-
-    def test_diagonal_by_hand(self):
-        b = LatticeBasis(2.0 * np.eye(3))
-        assert dual_norm(b, [2, 0, 0]) == pytest.approx(1.0)
-
-    def test_zero_iff_zero(self, rng):
-        b = random_basis(rng, 3)
-        assert dual_norm(b, [0, 0, 0]) == 0.0
-        assert dual_norm(b, [0, 1, 0]) > 0.0
-
-    def test_orthogonal_invariance(self, rng):
-        for _ in range(20):
-            X = random_basis(rng, 3)
-            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-            k = rng.integers(-5, 6, 3)
-            a = dual_norm(LatticeBasis(Q @ X.entries), k)
-            b = dual_norm(X, k)
-            assert abs(a - b) < 1e-12 * max(1.0, b)
-
-    def test_homogeneity(self, rng):
-        for _ in range(20):
-            X = random_basis(rng, 3)
-            r = rng.uniform(0.5, 2.0)
-            k = rng.integers(-5, 6, 3)
-            lhs = dual_norm(X.scaled(r), k)
-            rhs = dual_norm(X, k) / r
-            assert abs(lhs - rhs) < 1e-12 * max(1.0, rhs)
 
 
 class TestTransformedCoords:

@@ -161,6 +161,18 @@ class TestTheorem1:
             CONFIG)
         assert "t values" in capsys.readouterr().err
 
+    def test_inverted_band_refused_before_sampling(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """A band whose low end is above its high end would make every
+        verdict FAIL; it exits 3 before any sample is drawn."""
+        def no_sampling(*args):
+            raise AssertionError("mc_stats ran")
+
+        monkeypatch.setattr(cli, "mc_stats", no_sampling)
+        assert run(tmp_path, "theorem1", dict(_THEOREM1, band=[0.8, 0.3])) == (
+            CONFIG)
+        assert "band" in capsys.readouterr().err
+
     def test_bad_family_rejected(self, tmp_path):
         cfg = {"n": 3, "t_grid": [4, 6, 9], "samples": 2,
                "family": {"delta": -0.05, "det_floor": 0.3}}
@@ -253,6 +265,26 @@ def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code
     assert message in capsys.readouterr().err
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["existing-file", "path-under-a-file"])
+    def test_unusable_out_refused_before_running(self, tmp_path, capsys,
+                                                 monkeypatch, under):
+        """An --out path that cannot be a directory exits 2 with a
+        one-line message, before the experiment runs."""
+        def no_run(cfg):
+            raise AssertionError("cn ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "cn", no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep")
+        out = blocker / "run" if under else blocker
+        assert main(["cn", "--n", "3", "--out", str(out)]) == USAGE
+        err = capsys.readouterr().err
+        assert "--out" in err and err.count("\n") == 1
+        assert blocker.read_text() == "keep"
 
 
 class TestTheorem2:

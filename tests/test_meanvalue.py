@@ -9,7 +9,6 @@ from latticeball.meanvalue import (
     compute_cn,
     fit_scaling_exponent,
     mc_stats,
-    rogers_second_moment,
     scaling_identity_check,
     siegel_mean,
     thread_count,
@@ -61,21 +60,6 @@ class TestMomentFormulas:
     def test_siegel_unit_radius(self):
         assert siegel_mean(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0 + 1.0)
 
-    def test_rogers_zero_radius(self):
-        cn = compute_cn(3)
-        assert rogers_second_moment(3, 0.0, cn) == pytest.approx(1.0)
-
-    def test_rogers_unit_radius(self):
-        cn = compute_cn(3)
-        v = 4.0 * math.pi / 3.0
-        assert rogers_second_moment(3, 1.0, cn) == pytest.approx(
-            v * v + 1.0 + cn.value * v)
-
-    def test_rogers_needs_three_dimensions(self):
-        cn = compute_cn(3)
-        with pytest.raises(ValueError):
-            rogers_second_moment(2, 1.0, cn)
-
     def test_variance_zero_radius(self):
         cn = compute_cn(3)
         assert variance_prediction(3, 0.0, cn) == pytest.approx(1.0)
@@ -89,17 +73,6 @@ class TestMomentFormulas:
         cn = compute_cn(3)
         for t in (0.0, 0.5, 3.0, 20.0):
             assert variance_prediction(3, t, cn) > 0.0
-
-    def test_moment_identity(self):
-        # Var[E] = E[N^2] - 2 vol E[N] + vol^2 collapses to the identity
-        # variance = second_moment - (mean-1)^2 - 2(mean-1)
-        cn = compute_cn(3)
-        for t in (0.5, 1.0, 4.0, 8.0):
-            mean = siegel_mean(3, t)
-            second = rogers_second_moment(3, t, cn)
-            var = variance_prediction(3, t, cn)
-            identity = second - (mean - 1.0) ** 2 - 2.0 * (mean - 1.0)
-            assert var == pytest.approx(identity, rel=1e-12)
 
 
 class TestMcStats:

@@ -10,7 +10,6 @@ from scipy import integrate
 from latticeball import oscillatory
 from latticeball.oscillatory import (
     I_kl,
-    I_kl_eta_average,
     OscillatorySpec,
     ResolutionError,
     _eval_on,
@@ -216,16 +215,6 @@ class TestIkl:
                                    1.0, 2.0, 1.0, 2.0,
                                    epsabs=1e-11, epsrel=1e-11)
         assert val.real == pytest.approx(ref, abs=1e-9)
-
-    def test_eta_average_matches_constant_integrand(self):
-        # with k = l and signs (+,-) the integrand has no eta-dependent
-        # phase, so the slab average equals the pointwise value up to
-        # the weight's eta variation; compare against direct averaging
-        s = spec3([1, 0, 0], [1, 0, 0], signs=(1, -1),
-                  eta=(1.5, 1.5, 1.5))
-        avg = I_kl_eta_average(s, 5.0, nodes=4)
-        assert abs(avg.imag) < 1e-12
-        assert avg.real > 0.0
 
 
 class TestTensorKernel:
