@@ -121,48 +121,24 @@ def eta_to_unipotent(eta) -> np.ndarray:
     if n * (n - 1) // 2 != L:
         raise ValueError(f"eta length {L} is not n(n-1)/2 for any integer n")
     N = np.eye(n)
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            N[i, j] = eta[pos]
-            pos += 1
+    N[np.triu_indices(n, 1)] = eta
     return N
 
 
 def unipotent_to_eta(N: np.ndarray) -> np.ndarray:
-    n = N.shape[0]
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(N[i, j])
-    return np.array(out)
+    return N[np.triu_indices(N.shape[0], 1)]
 
 
 def iwasawa_decompose(basis: LatticeBasis) -> IwasawaForm:
-    """Factor the basis by modified Gram-Schmidt on its columns.
-
-    A second orthogonalization sweep keeps K orthogonal to machine
-    precision even for moderately ill-conditioned input.
-    """
-    X = basis.entries
-    n = basis.n
-    Q = np.zeros((n, n))
-    R = np.zeros((n, n))
-    for j in range(n):
-        v = X[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                c = float(Q[:, i] @ v)
-                v -= c * Q[:, i]
-                R[i, j] += c
-        nrm = float(np.linalg.norm(v))
-        if nrm <= 0.0:
-            raise SingularBasisError("column became zero during factorization")
-        R[j, j] = nrm
-        Q[:, j] = v / nrm
-    a = 1.0 / np.diag(R) ** 2
-    N = R / np.diag(R)[:, None]
-    return IwasawaForm(K=Q, a=a, eta=unipotent_to_eta(N))
+    """Factor the basis by QR, with the signs of Q's columns and R's rows
+    flipped so that R has a positive diagonal."""
+    Q, R = np.linalg.qr(basis.entries)
+    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    Q = Q * signs
+    R = R * signs[:, None]
+    d = np.diag(R)
+    return IwasawaForm(K=Q, a=1.0 / d ** 2,
+                       eta=unipotent_to_eta(R / d[:, None]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Command-line front end.
 
-Every subcommand reads a JSON config (or a couple of convenience
-flags), runs one experiment, and emits a JSON result.  With --out DIR
-the result goes to DIR/result.json, grid-shaped data additionally to
-DIR/data.csv, and a run manifest to DIR/manifest.json.  Without --out
-the result JSON is printed to stdout.
+Every subcommand reads a JSON config, runs one experiment, and emits a
+JSON result.  A config key the subcommand does not read is refused
+before the experiment runs; --seed, on theorem1 and theorem2, overrides
+the config's seed.  With --out DIR the result goes to DIR/result.json,
+grid-shaped data additionally to DIR/data.csv, and a run manifest to
+DIR/manifest.json.  Without --out the result JSON is printed to stdout.
 
 Result and data files are deterministic for a fixed config and seed;
 the manifest carries wall-clock time and is the one file that differs
 between reruns.
 
-Exit codes: 0 success, 2 bad invocation, unreadable config or an --out
-path that cannot be a directory, 3 config values that fail validation,
-4 calibration failure, 5 quadrature resolution failure.
+Exit codes: 0 success, 2 bad invocation, unreadable config, a config
+key the subcommand does not read or an --out path that cannot be a
+directory, 3 config values that fail validation or ask for an array
+too large to allocate, 4 calibration failure, 5 quadrature resolution
+failure.
 """
 
 from __future__ import annotations
@@ -254,11 +257,7 @@ def _run_theorem2(cfg: dict):
         raise ConfigError("theorem2 requires t >= 2")
     samples = _number(_require(cfg, "samples"), "samples", int)
     master = _seed(cfg)
-    if "ratio_bound" in cfg:
-        config = HaarSamplerConfig(
-            n=n, ratio_bound=_number(cfg["ratio_bound"], "ratio_bound"))
-    else:
-        config = HaarSamplerConfig(n=n)
+    config = HaarSamplerConfig(n=n)
 
     def sampler(seed):
         return sample_haar_unimodular(config, seed)
@@ -289,9 +288,7 @@ def _run_theorem2(cfg: dict):
 
 
 def _run_cn(cfg: dict):
-    n = _number(_require(cfg, "n"), "n", int)
-    tol = _number(cfg.get("tol", 1e-10), "tol")
-    result = compute_cn(n, tol=tol)
+    result = compute_cn(_number(_require(cfg, "n"), "n", int))
     out = {"n": result.n, "value": result.value,
            "tail_bound": result.tail_bound,
            "terms_used": result.terms_used, "cutoff": result.cutoff}
@@ -300,16 +297,11 @@ def _run_cn(cfg: dict):
 
 def _run_fourier(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
-    if "s_grid" in cfg:
-        s = np.asarray(_array(cfg["s_grid"], "s_grid"))
-        if s.size == 0:
-            raise ConfigError("s_grid is empty")
-    else:
-        s_max = _number(cfg.get("s_max", 10.0), "s_max")
-        points = _number(cfg.get("points", 201), "points", int)
-        if points < 2 or s_max <= 0:
-            raise ConfigError("fourier needs s_max > 0 and points >= 2")
-        s = np.linspace(0.0, s_max, points)
+    s_max = _number(cfg.get("s_max", 10.0), "s_max")
+    points = _number(cfg.get("points", 201), "points", int)
+    if points < 2 or s_max <= 0:
+        raise ConfigError("fourier needs s_max > 0 and points >= 2")
+    s = np.linspace(0.0, s_max, points)
     vals = hat_chi_ball(n, s)
     rows = list(zip(s.tolist(), vals.tolist()))
     out = {"n": n, "s_min": float(s[0]), "s_max": float(s[-1]),
@@ -322,8 +314,7 @@ def _run_sandwich(cfg: dict):
     basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
     t = _number(_require(cfg, "t"), "t")
     epsilon = _number(_require(cfg, "epsilon"), "epsilon")
-    tail_target = _number(cfg.get("tail_target", 1e-3), "tail_target")
-    result = sandwich_check(basis, t, epsilon, tail_target=tail_target)
+    result = sandwich_check(basis, t, epsilon)
     return dataclasses.asdict(result), None
 
 
@@ -346,10 +337,6 @@ def _run_oscint(cfg: dict):
     if "points_per_period" in cfg:
         kwargs["points_per_period"] = _number(cfg["points_per_period"],
                                               "points_per_period")
-    if "points_per_axis" in cfg:
-        m = cfg["points_per_axis"]
-        read = _array if isinstance(m, list) else _number
-        kwargs["points_per_axis"] = read(m, "points_per_axis", int)
     hessian = cfg.get("hessian", False)
     if not isinstance(hessian, bool):
         raise InputError("'hessian' must be true or false")
@@ -379,7 +366,6 @@ def _run_vdc(cfg: dict):
     a = _number(_require(cfg, "a"), "a")
     b = _number(_require(cfg, "b"), "b")
     grid = sorted(_t_grid_from_config(cfg))
-    grid_points = _number(cfg.get("grid_points", 4097), "grid_points", int)
 
     def phi(x, _c=phi_coeffs):
         return np.polynomial.polynomial.polyval(x, _c)
@@ -387,7 +373,7 @@ def _run_vdc(cfg: dict):
     def psi0(x, _c=psi_coeffs):
         return np.polynomial.polynomial.polyval(x, _c)
 
-    report = vdc_check(phi, psi0, a, b, grid, grid_points=grid_points)
+    report = vdc_check(phi, psi0, a, b, grid)
     out = dataclasses.asdict(report)
     out["phi"] = phi_coeffs
     out["psi0"] = psi_coeffs
@@ -397,15 +383,18 @@ def _run_vdc(cfg: dict):
     return out, (("t", "measured", "bound", "ratio"), rows)
 
 
+# each subcommand's body and the top-level config keys it reads
 _COMMANDS = {
-    "count": _run_count,
-    "theorem1": _run_theorem1,
-    "theorem2": _run_theorem2,
-    "cn": _run_cn,
-    "fourier": _run_fourier,
-    "sandwich": _run_sandwich,
-    "oscint": _run_oscint,
-    "vdc": _run_vdc,
+    "count": (_run_count, {"basis", "n", "t", "t_grid"}),
+    "theorem1": (_run_theorem1, {"n", "t", "t_grid", "samples", "seed",
+                                 "family", "band"}),
+    "theorem2": (_run_theorem2, {"n", "t", "samples", "seed"}),
+    "cn": (_run_cn, {"n"}),
+    "fourier": (_run_fourier, {"n", "s_max", "points"}),
+    "sandwich": (_run_sandwich, {"basis", "n", "t", "epsilon"}),
+    "oscint": (_run_oscint, {"n", "k", "l", "signs", "eta", "psi_intervals",
+                             "t", "t_grid", "points_per_period", "hessian"}),
+    "vdc": (_run_vdc, {"phi", "psi0", "a", "b", "t", "t_grid"}),
 }
 
 
@@ -419,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"latticeball {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed, overrides the config value")
-        p.add_argument("--out", help="directory for result, data, manifest")
-
     for name, summary in [
         ("count", "exact lattice point counts over a t grid"),
         ("theorem1", "remainder scaling over a compact family of bases"),
@@ -436,14 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("vdc", "first-derivative bound check for polynomial phases"),
     ]:
         p = sub.add_parser(name, help=summary)
-        common(p)
-        if name in ("cn", "fourier"):
-            p.add_argument("--n", type=int, default=None)
-        if name == "cn":
-            p.add_argument("--tol", type=float, default=None)
-        if name == "fourier":
-            p.add_argument("--s-max", dest="s_max", type=float, default=None)
-            p.add_argument("--points", type=int, default=None)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--out", help="directory for result, data, manifest")
+        if "seed" in _COMMANDS[name][1]:
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed, overrides the config value")
     return parser
 
 
@@ -458,14 +438,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # a flag on the command line wins over the config's value, and
-    # fourier's even-grid flags win over its s_grid
-    flags = {key: value for key, value in vars(args).items()
-             if key in ("seed", "n", "tol", "s_max", "points")
-             and value is not None}
-    settings = dict(cfg, **flags)
-    if flags.keys() & {"s_max", "points"}:
-        settings.pop("s_grid", None)
+    run, keys = _COMMANDS[command]
+    unknown = sorted(cfg.keys() - keys)
+    if unknown:
+        print(f"error: {command} reads no config key "
+              f"{', '.join(map(repr, unknown))}", file=sys.stderr)
+        return EXIT_USAGE
+    seed = getattr(args, "seed", None)
+    settings = cfg if seed is None else dict(cfg, seed=seed)
 
     # made before the experiment runs, so an unusable --out costs nothing
     out_dir = Path(args.out) if args.out else None
@@ -479,11 +459,12 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        result, csv_payload = _COMMANDS[command](settings)
+        result, csv_payload = run(settings)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ConfigError, ValueError, ZeroDivisionError, OverflowError,
+            MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CalibrationError, RejectionBudgetError, ArithmeticError) as exc:
@@ -504,7 +485,7 @@ def main(argv=None) -> int:
         manifest = {
             "command": command,
             "config": cfg,
-            "seed": args.seed,
+            "seed": seed,
             "version": __version__,
             "wall_time_s": wall,
             "outputs": sorted(outputs),

@@ -39,7 +39,7 @@ sum_{k > C} g(epsilon k).  R allows for the rounding of the float sums.
 The sandwich counts exactly before it sums, so each of its two sums stops
 at the first shell whose proven tail is below its margin (count - lower
 or upper - count), or, where the margin is too thin for that, at the
-first shell whose proven tail is below the tail target.
+first shell whose proven tail is below a fixed tail target of 1e-3.
 """
 
 from __future__ import annotations
@@ -341,10 +341,13 @@ class SandwichResult:
 # outermost shell a sandwich sum may reach before it is reported
 # inconclusive
 _MAX_CUTOFF = 10_000
+# a sandwich sum whose margin is too thin to prove stops once its proven
+# tail is below this
+_TAIL_TARGET = 1e-3
 
 
-def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
-                   tail_target: float = 1e-3) -> SandwichResult:
+def sandwich_check(basis: LatticeBasis, t: float,
+                   epsilon: float) -> SandwichResult:
     """Check N(t - d) <= N(t) <= N(t + d) for the smoothed counts.
 
     The mollifier lives on the integer side of Poisson summation, so the
@@ -354,19 +357,19 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
 
     The exact count comes first, so each smoothed count stops at the
     first shell where its proven tail T is below its margin (count -
-    lower, upper - count), or else once T < tail_target; lower_rule and
-    upper_rule say which.  The verdict is "violated" when a margin is
-    below -T with T < tail_target, "holds" when both sums stopped with
-    their margins at least -T (proven when the rule is "margin", to
-    within T when it is "target"), and "inconclusive", with holds =
-    None, when a sum reaches _MAX_CUTOFF without stopping.  A non-finite
-    input, or a nonpositive epsilon or tail target, is rejected before
-    any shell is summed: the target could never be reached.
+    lower, upper - count), or else once T < _TAIL_TARGET = 1e-3;
+    lower_rule and upper_rule say which.  The verdict is "violated" when
+    a margin is below -T with T < _TAIL_TARGET, "holds" when both sums
+    stopped with their margins at least -T (proven when the rule is
+    "margin", to within T when it is "target"), and "inconclusive", with
+    holds = None, when a sum reaches _MAX_CUTOFF without stopping.  A
+    non-finite t or epsilon, or a nonpositive epsilon, is rejected before
+    any shell is summed.
     """
-    if not all(map(math.isfinite, (t, epsilon, tail_target))):
-        raise ValueError("t, epsilon and tail_target must be finite")
-    if epsilon <= 0 or tail_target <= 0:
-        raise ValueError("epsilon and tail_target must be positive")
+    if not (math.isfinite(t) and math.isfinite(epsilon)):
+        raise ValueError("t and epsilon must be finite")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     sigma = float(np.linalg.norm(basis.entries, 2))
     shift = epsilon * math.sqrt(basis.n) * sigma
     if t - shift <= 0:
@@ -376,10 +379,10 @@ def sandwich_check(basis: LatticeBasis, t: float, epsilon: float,
     exact = count_points(basis, t)
     margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _MAX_CUTOFF, margins, tail_target)
+                           _MAX_CUTOFF, margins, _TAIL_TARGET)
     sides = [(margin(sm.value), sm.tail)
              for margin, sm in zip(margins, (lo, hi))]
-    if any(margin < -tail and tail < tail_target for margin, tail in sides):
+    if any(margin < -tail and tail < _TAIL_TARGET for margin, tail in sides):
         holds, status = False, "violated"
     elif lo.rule and hi.rule:
         holds, status = True, "holds"

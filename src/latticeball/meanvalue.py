@@ -48,20 +48,22 @@ def _zeta_upper(n: int) -> float:
     return s + K ** (1 - n) / (n - 1)
 
 
-def compute_cn(n: int, tol: float = 1e-10) -> CnResult:
-    """Sum the coprime pair series until the tail provably drops below tol.
+# the proven tail of compute_cn's sum stays below this
+_CN_TOL = 1e-10
+
+
+def compute_cn(n: int) -> CnResult:
+    """Sum the coprime pair series until the tail provably drops below
+    _CN_TOL = 1e-10.
 
     Pairs with max(q, r) > Q contribute at most
     8 zeta(n) Q^(1-2n) / (2n - 1), which fixes the cutoff.
     """
     if n < 3:
         raise ValueError("the pair series is used for n >= 3 only")
-    if not tol >= 1e-14:
-        # written so that a NaN tol is refused too
-        raise ValueError(f"tol must be at least 1e-14, the achievable "
-                         f"precision, not {tol!r}")
     z = _zeta_upper(n)
-    Q = math.ceil((8.0 * z / ((2 * n - 1) * tol)) ** (1.0 / (2 * n - 1))) + 1
+    Q = math.ceil((8.0 * z / ((2 * n - 1) * _CN_TOL))
+                  ** (1.0 / (2 * n - 1))) + 1
     total = 0.0
     terms = 0
     for q in range(1, Q + 1):
@@ -196,12 +198,11 @@ def fit_scaling_exponent(points) -> ScalingFit:
                       max_residual=resid)
 
 
-def scaling_identity_check(basis: LatticeBasis, r: float, t: float,
-                           tol: float = 1e-9) -> bool:
+def scaling_identity_check(basis: LatticeBasis, r: float, t: float) -> bool:
     """error_term(rX, t) must equal error_term(X, t/r) exactly in exact
-    arithmetic; verified here to an absolute tolerance."""
+    arithmetic; verified here to an absolute tolerance of 1e-9."""
     if r <= 0:
         raise ValueError("scale must be positive")
     left = error_term(basis.scaled(r), t)
     right = error_term(basis, t / r)
-    return abs(left - right) <= tol
+    return abs(left - right) <= 1e-9

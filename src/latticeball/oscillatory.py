@@ -44,6 +44,8 @@ _MAX_NODES_PER_AXIS = 2000
 _MAX_TOTAL_POINTS = 3.0e8
 # coarse and fine tensor rules must agree to this times the box volume
 _TARGET_REL = 1e-6
+# default nodes per cycle of the phase along an axis
+_POINTS_PER_PERIOD = 40.0
 # nodes per block of the tensor sum: its temporaries, about ten arrays
 # of this length, take about 1 MB and stay in cache
 _BLOCK = 1 << 14
@@ -239,28 +241,20 @@ def _auto_nodes(spec: OscillatorySpec, t: float,
     return ms
 
 
-def I_kl(spec: OscillatorySpec, t: float, points_per_axis=None,
-         points_per_period: float = 40.0) -> complex:
+def I_kl(spec: OscillatorySpec, t: float,
+         points_per_period: float = _POINTS_PER_PERIOD) -> complex:
     """The oscillatory integral at parameter t.
 
-    Node counts per axis are supplied or derived from the phase
-    gradient; the value is recomputed on a finer rule and the two must
-    agree to _TARGET_REL times the box volume, otherwise ResolutionError.
+    Each axis gets points_per_period nodes per cycle of the phase along
+    it, as the phase gradient bounds the cycles, and at least 16; the
+    value is recomputed on a finer rule and the two must agree to
+    _TARGET_REL times the box volume, otherwise ResolutionError.
     """
     if t < 0 or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative")
     if not (math.isfinite(points_per_period) and points_per_period > 0):
         raise ValueError("points_per_period must be finite and positive")
-    if points_per_axis is None:
-        ms = _auto_nodes(spec, t, points_per_period)
-    elif np.isscalar(points_per_axis):
-        ms = [int(points_per_axis)] * spec.n
-    else:
-        ms = [int(m) for m in points_per_axis]
-        if len(ms) != spec.n:
-            raise ValueError("need one node count per axis")
-    if min(ms) < 2:
-        raise ValueError("node counts must be at least 2")
+    ms = _auto_nodes(spec, t, points_per_period)
     if max(ms) > _MAX_NODES_PER_AXIS:
         raise ResolutionError(
             f"requires {max(ms)} nodes on one axis, over the cap of "
@@ -323,10 +317,11 @@ class HessianReport:
     disc: float
 
 
-def hessian_bound_check(spec: OscillatorySpec, t_grid,
-                        **quad_kwargs) -> HessianReport:
+def hessian_bound_check(
+        spec: OscillatorySpec, t_grid,
+        points_per_period: float = _POINTS_PER_PERIOD) -> HessianReport:
     """Measured |I_kl(t)| against the stationary-phase envelope
-    |k|^{3/2} |l|^{3/2} / (t |disc|)."""
+    |k|^{3/2} |l|^{3/2} / (t |disc|), each I_kl at points_per_period."""
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
@@ -341,7 +336,7 @@ def hessian_bound_check(spec: OscillatorySpec, t_grid,
     bound = []
     ratios = []
     for t in ts:
-        val = abs(I_kl(spec, t, **quad_kwargs))
+        val = abs(I_kl(spec, t, points_per_period))
         env = nk ** 1.5 * nl ** 1.5 / (t * abs(disc))
         measured.append(val)
         bound.append(env)
@@ -380,22 +375,24 @@ def _eval_on(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(v)) for v in x])
 
 
-def vdc_check(phi, psi0, a: float, b: float, t_grid,
-              grid_points: int = 4097) -> VdcReport:
+# points of the sample grid on which vdc_check verifies its phase
+_VDC_GRID_POINTS = 4097
+
+
+def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     """|int_a^b e^{i t phi} psi0 dx| against (|psi0(b)| + TV(psi0)) / (c0 t).
 
     phi must have a monotone derivative bounded below by c0 > 0; both
-    conditions are verified on a dense sample grid and violations raise
-    ValueError.  Note the phase convention: e^{i t phi}, no 2 pi.
+    conditions are verified on _VDC_GRID_POINTS equally spaced points and
+    violations raise ValueError.  Note the phase convention: e^{i t phi},
+    no 2 pi.
     """
     if not (b > a):
         raise ValueError("need b > a")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
-    x = np.linspace(a, b, grid_points)
+    x = np.linspace(a, b, _VDC_GRID_POINTS)
     phv = _eval_on(phi, x)
     psv = _eval_on(psi0, x)
     h = x[1] - x[0]

@@ -137,13 +137,10 @@ def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
 @dataclass(frozen=True)
 class HaarSamplerConfig:
     n: int
-    ratio_bound: float = SIEGEL_RATIO
 
     def __post_init__(self):
         if self.n not in (2, 3):
             raise ValueError("Haar sampling is implemented for n in {2, 3}")
-        if not (0 < self.ratio_bound <= 1):
-            raise ValueError("ratio bound must lie in (0, 1]")
 
 
 def _unit(v: tuple) -> tuple:
@@ -203,7 +200,7 @@ def sample_haar_unimodular(config: HaarSamplerConfig,
                 [s * p, s * q + c * r]]
         d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     else:
-        s_min = math.log(config.ratio_bound)
+        s_min = math.log(SIEGEL_RATIO)
         s1 = s_min + gen.exponential(0.5)
         s2 = s_min + gen.exponential(0.5)
         v1 = (4.0 * s1 + 2.0 * s2) / 3.0

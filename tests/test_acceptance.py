@@ -244,7 +244,7 @@ def test_criterion_5_unimodular_variance_matches_prediction():
 
 
 def test_criterion_6_cn_matches_bruteforce_pair_sum():
-    """compute_cn(3, 1e-10) agrees to 1e-8 with a direct double sum of
+    """compute_cn(3) agrees to 1e-8 with a direct double sum of
     4 / ((qr)^3 max(q, r)^3) over coprime pairs q, r <= 10^4, evaluated
     with chunked vectorized gcds over the pairs q < r, each standing for
     itself and its mirror (q = r = 1 is the only coprime diagonal pair).
@@ -261,7 +261,7 @@ def test_criterion_6_cn_matches_bruteforce_pair_sum():
         qcube = block.astype(float)[:, None] ** 3
         terms = 8.0 / (qcube * rsix[None, lo:])
         total += float(terms[coprime].sum())
-    value = compute_cn(3, 1e-10).value
+    value = compute_cn(3).value
     assert abs(total - value) <= 1e-8, (total, value)
     assert time.perf_counter() - start < 10.0
 

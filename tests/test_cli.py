@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latticeball import cli, fourier
+from latticeball.basis import identity_basis
 from latticeball.cli import main
-from latticeball.meanvalue import compute_cn
 
 # exit codes under test
 OK, USAGE, CONFIG, CALIBRATION, RESOLUTION = 0, 2, 3, 4, 5
@@ -214,7 +214,6 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
      CONFIG, "dimension"),
     ("theorem1", dict(_THEOREM1, band=0.5), USAGE, "band"),
     ("theorem1", dict(_THEOREM1, band=[0.5]), USAGE, "band"),
-    ("fourier", {"n": 2, "s_grid": 1.0}, USAGE, "s_grid"),
     ("vdc", {"phi": 1.0, "psi0": [1.0], "a": 0.0, "b": 1.0,
              "t_grid": [5.0]}, USAGE, "phi"),
     ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": None},
@@ -224,19 +223,13 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("count", {"basis": "identity", "n": 2, "t_grid": [4.0, None]}, USAGE,
      "'t_grid[1]'"),
     ("count", {"basis": "identity", "n": 2, "t": "far"}, CONFIG, "'t'"),
-    ("fourier", {"n": 3, "s_grid": []}, CONFIG, "s_grid"),
-    ("oscint", dict(OSC_BASE, t_grid=[1.0], points_per_axis=[None, 20, 20]),
-     USAGE, "'points_per_axis[0]'"),
-    ("vdc", dict(_VDC, grid_points=0), CONFIG, "grid_points"),
-    ("vdc", dict(_VDC, grid_points=1), CONFIG, "grid_points"),
     ("vdc", dict(_VDC, phi=[]), CONFIG, "phi"),
     ("count", {"basis": "identity", "n": 2.9, "t": 2}, CONFIG, "'n'"),
     ("theorem1", dict(_THEOREM1, samples=5.7), CONFIG, "'samples'"),
     ("oscint", dict(OSC_BASE, t_grid=[8.0], hessian="no"), USAGE,
      "'hessian'"),
     ("fourier", {"n": 3, "s_max": math.nan}, CONFIG, "finite"),
-    ("fourier", {"n": 3, "s_grid": [0.0, math.inf]}, CONFIG, "finite"),
-    ("cn", {"n": 3, "tol": True}, USAGE, "'tol'"),
+    ("cn", {"n": True}, USAGE, "'n'"),
     ("theorem1", dict(_THEOREM1, seed=True), USAGE, "'seed'"),
     ("oscint", dict(OSC_BASE, t_grid=[1.0], signs=[1.5, -1]), CONFIG,
      "'signs[0]'"),
@@ -253,14 +246,12 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("count", {"basis": "identity", "n": 2, "t": 10 ** 400}, CONFIG, "'t'"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
-        "short-band", "scalar-s-grid", "scalar-phi", "null-epsilon",
-        "array-n", "array-samples", "null-in-t-grid", "string-t",
-        "empty-s-grid", "null-points-per-axis", "zero-grid-points",
-        "one-grid-point", "empty-phi", "fractional-n", "fractional-samples",
-        "string-hessian", "nan-s-max", "infinite-s-grid", "boolean-tol",
-        "boolean-seed", "fractional-sign", "repeated-t", "boolean-in-k",
-        "null-in-psi-intervals", "boolean-in-columns", "nan-string-in-eta",
-        "int-past-float-range"])
+        "short-band", "scalar-phi", "null-epsilon", "array-n",
+        "array-samples", "null-in-t-grid", "string-t", "empty-phi",
+        "fractional-n", "fractional-samples", "string-hessian", "nan-s-max",
+        "boolean-n", "boolean-seed", "fractional-sign", "repeated-t",
+        "boolean-in-k", "null-in-psi-intervals", "boolean-in-columns",
+        "nan-string-in-eta", "int-past-float-range"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code
@@ -277,14 +268,55 @@ class TestOutDirectory:
         def no_run(cfg):
             raise AssertionError("cn ran")
 
-        monkeypatch.setitem(cli._COMMANDS, "cn", no_run)
+        monkeypatch.setitem(cli._COMMANDS, "cn", (no_run, {"n"}))
         blocker = tmp_path / "taken"
         blocker.write_text("keep")
         out = blocker / "run" if under else blocker
-        assert main(["cn", "--n", "3", "--out", str(out)]) == USAGE
+        assert main(["cn", "--out", str(out)]) == USAGE
         err = capsys.readouterr().err
         assert "--out" in err and err.count("\n") == 1
         assert blocker.read_text() == "keep"
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("cn", {"n": 3, "tol": 1e-8}, "tol"),
+        ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": 0.1,
+                      "tail_target": 1e-3}, "tail_target"),
+        ("theorem2", {"n": 3, "t": 3.0, "samples": 10, "ratio_bound": 0.2},
+         "ratio_bound"),
+        ("vdc", dict(_VDC, grid_points=65), "grid_points"),
+        ("oscint", dict(OSC_BASE, t_grid=[1.0], points_per_axis=20),
+         "points_per_axis"),
+        ("fourier", {"n": 3, "s_grid": [0.0, 1.0]}, "s_grid"),
+        ("count", {"basis": "identity", "n": 2, "t": 2.0, "seed": 1}, "seed"),
+    ], ids=["cn-tol", "sandwich-tail-target", "theorem2-ratio-bound",
+            "vdc-grid-points", "oscint-points-per-axis", "fourier-s-grid",
+            "count-seed"])
+    def test_unread_key_refused_before_running(self, tmp_path, capsys,
+                                               monkeypatch, command, cfg,
+                                               key):
+        """A key the subcommand does not read exits 2 naming the key,
+        before the experiment runs, rather than being ignored."""
+        def no_run(cfg):
+            raise AssertionError(f"{command} ran")
+
+        _, keys = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (no_run, keys))
+        assert run(tmp_path, command, cfg) == USAGE
+        err = capsys.readouterr().err
+        assert f"{command} reads no config key '{key}'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cn", "--n", "3"], ["cn", "--tol", "1e-8"],
+        ["fourier", "--s-max", "4"], ["fourier", "--points", "5"],
+        ["count", "--seed", "1"],
+    ], ids=["n", "tol", "s-max", "points", "seed-on-count"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTheorem2:
@@ -304,18 +336,21 @@ class TestTheorem2:
         assert run(tmp_path, "theorem2",
                    {"n": 2, "t": 5.0, "samples": 10}) == CONFIG
 
-    def test_biased_sampler_fails_calibration(self, tmp_path, capsys):
-        # shrinking the ratio bound inflates the Siegel set, and the
-        # resulting coverage bias trips the mean-count gate
-        cfg = {"n": 3, "t": 4.0, "samples": 2000, "seed": 99,
-               "ratio_bound": 0.2}
+    def test_biased_sampler_fails_calibration(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a sampler that always returns Z^3 counts 257 points at t = 4
+        # every time, against a Siegel mean of vol + 1 = 269.1 with no
+        # spread to excuse it, which trips the mean-count gate
+        monkeypatch.setattr(cli, "sample_haar_unimodular",
+                            lambda config, seed: identity_basis(3))
+        cfg = {"n": 3, "t": 4.0, "samples": 20, "seed": 99}
         assert run(tmp_path, "theorem2", cfg) == CALIBRATION
         assert "CALIBRATION-FAIL" in capsys.readouterr().err
 
 
 class TestCn:
-    def test_flag_interface(self, capsys):
-        assert main(["cn", "--n", "3"]) == OK
+    def test_config_run(self, tmp_path, capsys):
+        assert run(tmp_path, "cn", {"n": 3}) == OK
         out = json.loads(capsys.readouterr().out)
         assert out["value"] == pytest.approx(4.140299545385922, abs=1e-9)
         assert out["tail_bound"] < 1e-10
@@ -323,20 +358,12 @@ class TestCn:
     def test_missing_dimension(self, capsys):
         assert main(["cn"]) == CONFIG
 
-    def test_flags_override_config(self, tmp_path, capsys):
-        cfg = {"n": 3, "tol": 1e-10}
-        path = tmp_path / "cn.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["cn", "--config", str(path), "--n", "4",
-                     "--tol", "1e-8"]) == OK
-        out = json.loads(capsys.readouterr().out)
-        assert out["n"] == 4
-        assert out["cutoff"] == compute_cn(4, tol=1e-8).cutoff
-
 
 class TestFourier:
     def test_zero_frequency_value(self, tmp_path, capsys):
-        assert run(tmp_path, "fourier", {"n": 3, "s_grid": [0.0]}) == OK
+        # s = 0 and 1; the value at 0, the unit-ball volume, is the larger
+        assert run(tmp_path, "fourier",
+                   {"n": 3, "s_max": 1.0, "points": 2}) == OK
         out = json.loads(capsys.readouterr().out)
         assert out["max_abs"] == pytest.approx(4.0 * math.pi / 3.0)
 
@@ -348,17 +375,14 @@ class TestFourier:
         assert lines[0] == "s,hat_chi"
         assert len(lines) == 6
 
-    @pytest.mark.parametrize("cfg", [
-        {"n": 3, "s_max": 10.0, "points": 50},
-        {"n": 3, "s_grid": [0.0, 1.0, 2.0]},
-    ], ids=["even-grid", "s-grid"])
-    def test_flags_override_config(self, tmp_path, capsys, cfg):
-        path = tmp_path / "fourier.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["fourier", "--config", str(path), "--n", "2",
-                     "--s-max", "4", "--points", "5"]) == OK
-        out = json.loads(capsys.readouterr().out)
-        assert (out["n"], out["s_max"], out["points"]) == (2, 4.0, 5)
+    def test_unallocatable_grid_is_a_config_error(self, tmp_path, capsys):
+        """10**17 points need 800 PB, more than a 47-bit address space
+        holds, so the allocation fails whatever the overcommit setting:
+        exit 3 with a one-line message, not a traceback."""
+        assert run(tmp_path, "fourier",
+                   {"n": 3, "s_max": 1.0, "points": 10 ** 17}) == CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
 class TestSandwich:
@@ -373,14 +397,10 @@ class TestSandwich:
         assert run(tmp_path, "sandwich", cfg) == CONFIG
 
     @pytest.mark.parametrize("n, fields, message", [
-        (2, {"tail_target": 0}, "positive"),
-        (3, {"tail_target": -1e-3}, "positive"),
         (2, {"epsilon": "nan"}, "finite"),
         (3, {"epsilon": -0.1}, "positive"),
         (2, {"t": "inf"}, "finite"),
-        (3, {"tail_target": "nan"}, "finite"),
-    ], ids=["zero-target", "negative-target", "nan-epsilon",
-            "negative-epsilon", "infinite-t", "nan-target"])
+    ], ids=["nan-epsilon", "negative-epsilon", "infinite-t"])
     def test_never_converging_inputs_rejected(self, tmp_path, capsys,
                                                monkeypatch, n, fields,
                                                message):
@@ -462,15 +482,12 @@ _FUZZ_BASES = [
     ("count", {"basis": "identity", "n": 2, "t": 2.0}),
     ("theorem1", dict(_THEOREM1, band=[0.3, 0.8], family=dict(
         _FAMILY, center={"n": 2, "columns": [[1.0, 0.0], [0.0, 1.0]]}))),
-    ("theorem2", {"n": 3, "t": 3.0, "samples": 10, "seed": 1,
-                  "ratio_bound": 0.9}),
-    ("cn", {"n": 3, "tol": 1e-6}),
-    ("fourier", {"n": 3, "s_grid": [0.0, 1.0]}),
+    ("theorem2", {"n": 3, "t": 3.0, "samples": 10, "seed": 1}),
+    ("cn", {"n": 3}),
     ("fourier", {"n": 2, "s_max": 2.0, "points": 5}),
-    ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": 0.1,
-                  "tail_target": 1e-3}),
+    ("sandwich", {"basis": "identity", "n": 2, "t": 2.5, "epsilon": 0.1}),
     ("oscint", dict(OSC_BASE, t_grid=[1.0])),
-    ("vdc", dict(_VDC, grid_points=65)),
+    ("vdc", _VDC),
 ]
 
 

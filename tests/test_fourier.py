@@ -448,7 +448,7 @@ class TestSandwich:
         """No point of Z^2 has its norm within 2 shifts of t = 2.5 (the
         nearest are sqrt 5 and sqrt 8), so both smoothed counts equal the
         count and only the tail target can stop them."""
-        res = sandwich_check(identity_basis(2), 2.5, 0.05, tail_target=1e-3)
+        res = sandwich_check(identity_basis(2), 2.5, 0.05)
         assert (res.status, res.lower_rule, res.upper_rule) == (
             "holds", "target", "target")
         assert abs(res.lower - res.count) <= res.lower_tail < 1e-3

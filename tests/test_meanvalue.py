@@ -25,28 +25,13 @@ class TestComputeCn:
         assert res.value >= 4.0
 
     def test_high_dimension_approaches_four(self):
-        res = compute_cn(12, tol=1e-8)
+        res = compute_cn(12)
         assert abs(res.value - 4.0) < 1e-3
 
     def test_c3_frozen_value(self):
-        res = compute_cn(3, tol=1e-10)
+        res = compute_cn(3)
         assert res.value == pytest.approx(4.140299545385922, abs=2e-10)
         assert res.tail_bound < 1e-10
-
-    @pytest.mark.parametrize("tol", [math.nan, 1e-15])
-    def test_unreachable_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            compute_cn(3, tol=tol)
-
-    def test_partial_sums_monotone(self):
-        coarse = compute_cn(3, tol=1e-4)
-        fine = compute_cn(3, tol=1e-10)
-        assert fine.value >= coarse.value - 1e-15
-        assert fine.cutoff > coarse.cutoff
-
-    def test_unreachable_tolerance(self):
-        with pytest.raises(ValueError):
-            compute_cn(3, tol=1e-15)
 
     def test_dimension_floor(self):
         with pytest.raises(ValueError):

@@ -179,12 +179,6 @@ class TestIkl:
         b = I_kl(s, 8.0, points_per_period=25.0)
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_supplied_axis_counts(self):
-        s = spec3([1, 2, 1], [2, -1, 1])
-        val = I_kl(s, 2.0, points_per_axis=[40, 40, 40])
-        auto = I_kl(s, 2.0)
-        assert val == pytest.approx(auto, abs=1e-9)
-
     @pytest.mark.parametrize("ppp", [0.0, -5.0, math.nan, math.inf])
     def test_bad_points_per_period_rejected(self, monkeypatch, ppp):
         def no_rule(*args):
