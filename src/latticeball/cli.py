@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every subcommand reads a JSON config, runs one experiment, and emits a
-JSON result.  A config key the subcommand does not read is refused
-before the experiment runs; --seed, on theorem1 and theorem2, overrides
+JSON result.  A config key the subcommand does not read, at the top
+level or inside a family or basis object, is refused before the
+experiment runs; --seed, on theorem1 and theorem2, overrides
 the config's seed.  With --out DIR the result goes to DIR/result.json,
 grid-shaped data additionally to DIR/data.csv, and a run manifest to
 DIR/manifest.json.  Without --out the result JSON is printed to stdout.
@@ -12,10 +13,10 @@ the manifest carries wall-clock time and is the one file that differs
 between reruns.
 
 Exit codes: 0 success, 2 bad invocation, unreadable config, a config
-key the subcommand does not read or an --out path that cannot be a
-directory, 3 config values that fail validation or ask for an array
-too large to allocate, 4 calibration failure, 5 quadrature resolution
-failure.
+key the subcommand does not read, a top-level n that contradicts the
+basis object beside it or an --out path that cannot be a directory,
+3 config values that fail validation or ask for an array too large to
+allocate, 4 calibration failure, 5 quadrature resolution failure.
 """
 
 from __future__ import annotations
@@ -134,6 +135,14 @@ def _array(value, key: str, kind=float, depth: int = 1) -> list:
             for i, v in enumerate(value)]
 
 
+def _refuse_unread(obj: dict, keys: set, key: str) -> None:
+    """Refuse a key of the config object at ``key`` outside ``keys``."""
+    unread = sorted(obj.keys() - keys)
+    if unread:
+        names = ", ".join(repr(f"{key}.{name}") for name in unread)
+        raise InputError(f"config key {names} is not read")
+
+
 def _parse_basis(spec, cfg: dict, key: str) -> LatticeBasis:
     """A basis given as "identity" (sized by the config's "n") or as a
     basis object {"n": ..., "columns": [...]}."""
@@ -142,6 +151,7 @@ def _parse_basis(spec, cfg: dict, key: str) -> LatticeBasis:
     if not isinstance(spec, dict) or not {"n", "columns"} <= spec.keys():
         raise InputError(f"malformed basis: {key!r} must be 'identity' or "
                          '{"n": int, "columns": [[...], ...]}')
+    _refuse_unread(spec, {"n", "columns"}, key)
     n = _number(spec["n"], f"{key}.n", int)
     columns = _array(spec["columns"], f"{key}.columns", depth=2)
     if len(columns) != n:
@@ -151,6 +161,16 @@ def _parse_basis(spec, cfg: dict, key: str) -> LatticeBasis:
         return LatticeBasis(np.array(columns).T)
     except ValueError as exc:
         raise InputError(f"malformed basis: {exc}") from exc
+
+
+def _config_basis(cfg: dict) -> LatticeBasis:
+    """The "basis" of count and sandwich; a top-level "n" beside it must
+    be the basis's dimension."""
+    basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
+    if "n" in cfg and _number(cfg["n"], "n", int) != basis.n:
+        raise InputError(f"'n' is {cfg['n']!r} but 'basis' has dimension "
+                         f"{basis.n}")
+    return basis
 
 
 def _t_grid_from_config(cfg: dict) -> list:
@@ -180,7 +200,7 @@ def _seed(cfg: dict) -> int:
 
 
 def _run_count(cfg: dict):
-    basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
+    basis = _config_basis(cfg)
     grid = sorted(_t_grid_from_config(cfg))
     results = count_scan(basis, grid)
     rows = [(r.t, r.count, r.volume, r.remainder) for r in results]
@@ -205,6 +225,7 @@ def _run_theorem1(cfg: dict):
     fam = _require(cfg, "family")
     if not isinstance(fam, dict):
         raise InputError("family must be an object")
+    _refuse_unread(fam, {"center", "delta", "det_floor"}, "family")
     center = _parse_basis(fam.get("center", "identity"), cfg, "family.center")
     if center.n != n:
         raise ConfigError(f"family center has dimension {center.n}, not {n}")
@@ -311,7 +332,7 @@ def _run_fourier(cfg: dict):
 
 
 def _run_sandwich(cfg: dict):
-    basis = _parse_basis(_require(cfg, "basis"), cfg, "basis")
+    basis = _config_basis(cfg)
     t = _number(_require(cfg, "t"), "t")
     epsilon = _number(_require(cfg, "epsilon"), "epsilon")
     result = sandwich_check(basis, t, epsilon)
@@ -476,6 +497,9 @@ def main(argv=None) -> int:
     wall = time.perf_counter() - start
 
     if out_dir is not None:
+        # imported here: it costs about 20 ms, which only a manifest needs
+        from importlib import metadata
+
         outputs = ["result.json"]
         _write_json(out_dir / "result.json", result)
         if csv_payload is not None:
@@ -485,8 +509,12 @@ def main(argv=None) -> int:
         manifest = {
             "command": command,
             "config": cfg,
-            "seed": seed,
+            # the seed that ran, from --seed or the config; null for the
+            # commands that draw nothing
+            "seed": _seed(settings) if "seed" in keys else None,
             "version": __version__,
+            "dependencies": {name: metadata.version(name)
+                             for name in ("numpy", "scipy")},
             "wall_time_s": wall,
             "outputs": sorted(outputs),
         }

@@ -9,17 +9,37 @@ The phase attached to a frequency pair (k, l) and sign choice is
 with ktil, ltil the unipotent-transformed coordinates.  The integrals
 carry the weight (|k| / |k|_AN)^p (|l| / |l|_AN)^p restricted to a box
 in a-space, p = 2 for n = 3 and 3/2 for n = 2, and oscillate like
-exp(2 pi i t Phi).  Tensor Gauss-Legendre with an oscillation-aware
-node count does the integration; every value is validated against a
-second, finer resolution before it is returned.
+exp(2 pi i t Phi).
 
-The tensor sum is one pass over the flattened node grid, in blocks of a
-fixed number of nodes, so its memory does not grow with the rule.  At
-each node the phase, in cycles, is reduced to within an eighth of a
-cycle of its nearest quarter turn before the one sine it needs is taken:
-a small argument is about twice as cheap as one of hundreds of radians,
-and the cosine follows from the sine to rounding.  The quarter turns are
-folded into four running sums per component and rotated at the end.
+The integrand depends on a only through qk = a.K and ql = a.L, where K
+and L are the entrywise squares of ktil and ltil.  So the box integral
+is a 2-D integral over u = a.K and v = a.M against the pushforward of
+the box volume, with M = L - rho K the part of L orthogonal to K,
+rho = K.L / K.K, and ql = rho u + v.  (When L is a multiple of K, M is
+a unit axis vector instead and ql = rho u.)  The orthogonal frame keeps
+the density accurate as K and L approach parallel, where a (qk, ql)
+frame loses it.  The image of the box is a zonotope with the n scaled
+columns of [K; M] as generators, and the pushforward is a piecewise-
+linear box spline on it: 1 / |det| for n = 2, and for n = 3 the length
+of the fibre along the eliminated axis over |det| of the best-
+conditioned 2x2 minor.  Its kinks lie on the projected box edges, so
+cutting u at every projected vertex and edge crossing, and pairing
+consecutive edges within each slab, leaves trapezoids (about 30 for
+n = 3) on which the density is linear.
+
+Each side of a trapezoid is cut into panels by the phase cycles across
+it, and each panel carries a product Gauss-Legendre rule of order 8
+(coarse) or 12 (fine), so points_per_period is the coarse rule's nodes
+per cycle.  Every value is checked against the finer rule on the same
+panels before it is returned.
+
+The sum runs over columns of nodes at fixed u, in blocks of a fixed
+number of nodes, so its memory does not grow with the rule.  At each
+node the phase, in cycles, is reduced to within an eighth of a cycle of
+its nearest quarter turn before the one sine it needs is taken: a small
+argument is about twice as cheap as one of hundreds of radians, and the
+cosine follows from the sine to rounding.  The quarter turns are folded
+into four running sums per component and rotated at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +48,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +61,14 @@ class ResolutionError(RuntimeError):
     """Requested accuracy is not reachable within the node budget."""
 
 
-_MAX_NODES_PER_AXIS = 2000
+# nodes of the coarse and the fine rule together
 _MAX_TOTAL_POINTS = 3.0e8
-# coarse and fine tensor rules must agree to this times the box volume
+# coarse and fine rules must agree to this times the box volume
 _TARGET_REL = 1e-6
-# default nodes per cycle of the phase along an axis
+# default coarse nodes per cycle of the phase across a trapezoid side
 _POINTS_PER_PERIOD = 40.0
-# nodes per block of the tensor sum: its temporaries, about ten arrays
-# of this length, take about 1 MB and stay in cache
+# nodes per block of the sum: its temporaries, about ten arrays of this
+# length, take about 1 MB and stay in cache
 _BLOCK = 1 << 14
 
 
@@ -131,143 +152,292 @@ def weight(spec: OscillatorySpec, a) -> float:
     return (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
 
 
-# an entry holds 16 m bytes, so 128 entries of the largest rules
-# (m up to 2000 coarse, 2500 fine) stay under 5 MB
-@functools.lru_cache(maxsize=128)
+# Gauss-Legendre orders: I_kl's coarse and fine panels, vdc_check's panels
+_COARSE_ORDER = 8
+_FINE_ORDER = 12
+_VDC_ORDER = 32
+
+
+@functools.cache
 def _leggauss(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared
-    between callers: the eigenvalue solve behind them costs O(m^2) and
-    up, and the same m recurs across axes, rules and calls."""
+    between callers.  Only the three orders above are asked for, each
+    built once, on first use: built at import, they would add the import
+    of numpy.polynomial to every run that never integrates."""
     nodes, weights = np.polynomial.legendre.leggauss(m)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
-def _axis_rule(box_row, m: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = _leggauss(m)
-    lo, hi = box_row
-    half = (hi - lo) / 2.0
-    return lo + half * (nodes + 1.0), half * weights
+class _Trapezoids(NamedTuple):
+    """The image of the weight box under a -> (u, v) = (a.K, a.M), cut
+    into trapezoids on each of which the pushforward density is linear.
+
+    qk = u and ql = rho u + sigma v, where sigma is 0 when L is a
+    multiple of K and v is then only a second coordinate.  Trapezoid i,
+    in local coordinates (xi, eta) in [0, 1]^2, is
+
+        u = ua + xi du,   v = lo + xi dlo + eta h(xi),   h(xi) = h + xi dh,
+
+    with area element du h(xi) dxi deta, and its density is
+    f0 + xi fx + eta fv h(xi).
+    """
+
+    rho: float
+    sigma: float
+    ua: np.ndarray
+    du: np.ndarray
+    lo: np.ndarray
+    dlo: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    f0: np.ndarray
+    fx: np.ndarray
+    fv: np.ndarray
 
 
-def _tensor_value(spec: OscillatorySpec, t: float, ms) -> complex:
-    """Tensor Gauss-Legendre sum in one pass over the flattened grid.
+def _density(A: np.ndarray, box: np.ndarray, u, v) -> np.ndarray:
+    """Pushforward of the box volume under a -> A a, at points (u, v) off
+    the projected box edges: 1 / |det A| inside the image for n = 2; for
+    n = 3 the extent in a_j of the fibre over (u, v), for the axis j
+    whose complementary 2x2 minor of A is largest, over that minor."""
+    if A.shape[1] == 2:
+        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+        return np.full(np.shape(u), 1.0 / abs(det))
+    minors = [A[0, p] * A[1, q] - A[0, q] * A[1, p]
+              for p, q in ((1, 2), (0, 2), (0, 1))]
+    j = int(np.argmax(np.abs(minors)))
+    p, q = (i for i in range(3) if i != j)
+    det = minors[j]
+    # on the fibre, (a_p, a_q) = c - d a_j
+    c = ((A[1, q] * u - A[0, q] * v) / det, (A[0, p] * v - A[1, p] * u) / det)
+    d = ((A[1, q] * A[0, j] - A[0, q] * A[1, j]) / det,
+         (A[0, p] * A[1, j] - A[1, p] * A[0, j]) / det)
+    lower = np.full(np.shape(u), box[j, 0])
+    upper = np.full(np.shape(u), box[j, 1])
+    for ci, di, (lo, hi) in zip(c, d, box[[p, q]]):
+        if di > 0:
+            lower = np.maximum(lower, (ci - hi) / di)
+            upper = np.minimum(upper, (ci - lo) / di)
+        elif di < 0:
+            lower = np.maximum(lower, (ci - lo) / di)
+            upper = np.minimum(upper, (ci - hi) / di)
+        else:
+            upper = np.where((lo <= ci) & (ci <= hi), upper, lower)
+    return np.maximum(upper - lower, 0.0) / abs(det)
 
-    The nodes are walked in C order in blocks of at most _BLOCK, so the
-    memory used is bounded whatever the node counts.  A block covers
-    consecutive rows (lines along the last axis), possibly cut at both
-    ends.  At its nodes, qk and ql are a row term, repeated along the
-    row, plus a last-axis term, and the weight w is the product of two
-    such terms.  The amplitude is w (nk nl / (qk ql))^(p/2): one
-    division for n = 3, one power for n = 2.
 
-    The phase in cycles, u = t (s1 sqrt(qk) + s2 sqrt(ql)), is split
-    exactly as u = q/4 + r with q = rint(4u) and |r| <= 1/8.  One sine,
+def _trapezoids(spec: OscillatorySpec) -> _Trapezoids:
+    """Cut the image of the box, a zonotope, at the u of every projected
+    box vertex and every crossing of two projected box edges; within each
+    slab between cuts no edges cross, and consecutive edges bound the
+    trapezoids."""
+    n = spec.n
+    kt, lt = spec.transformed()
+    K, L = kt ** 2, lt ** 2
+    rho = float(K @ L) / float(K @ K)
+    M = L - rho * K
+    sigma = 1.0
+    if not M.any():
+        # ql = rho qk: v is the coordinate of an axis next to the largest
+        # entry of K, so that [K; M] still has rank 2
+        M = np.zeros(n)
+        M[(int(np.argmax(K)) + 1) % n] = 1.0
+        sigma = 0.0
+    A = np.stack([K, M])
+    box = spec.psi_intervals
+    # vertex b has a_i at the top of its interval where bit i of b is set;
+    # each edge runs from a vertex with bit i clear along generator i
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    verts = A @ box[:, 0] + bits @ (A * (box[:, 1] - box[:, 0])).T
+    start, axis = np.nonzero(bits == 0)
+    P, Q = verts[start], verts[start + (1 << axis)]
+    d = Q - P
+    i, j = np.triu_indices(len(P), 1)
+    off = P[j] - P[i]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # P_i + s d_i = P_j + r d_j; parallel edges give inf or nan
+        cross = d[i, 0] * d[j, 1] - d[i, 1] * d[j, 0]
+        s = (off[:, 0] * d[j, 1] - off[:, 1] * d[j, 0]) / cross
+        r = (off[:, 0] * d[i, 1] - off[:, 1] * d[i, 0]) / cross
+    hit = (0 < s) & (s < 1) & (0 < r) & (r < 1)
+    cuts = np.unique(np.concatenate(
+        [verts[:, 0], P[i[hit], 0] + s[hit] * d[i[hit], 0]]))
+    ua, ub = cuts[:-1], cuts[1:]
+    mid = (ua + ub)[:, None] / 2.0
+    # no cut lies inside a slab, so an edge spans it if it spans its middle
+    spans = ((np.minimum(P[:, 0], Q[:, 0]) < mid)
+             & (mid < np.maximum(P[:, 0], Q[:, 0])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        va, vb = (P[:, 1] + np.clip((x[:, None] - P[:, 0]) / d[:, 0], 0, 1)
+                  * d[:, 1] for x in (ua, ub))
+    order = np.argsort(np.where(spans, va + vb, np.inf), axis=1)
+    va = np.take_along_axis(va, order, axis=1)
+    vb = np.take_along_axis(vb, order, axis=1)
+    # the k-th and (k+1)-th spanning edges of a slab bound a trapezoid
+    pair = np.arange(len(P) - 1) < spans.sum(axis=1)[:, None] - 1
+    slab = np.nonzero(pair)[0]
+    lo, lo_b = va[:, :-1][pair], vb[:, :-1][pair]
+    h = va[:, 1:][pair] - lo
+    dh = vb[:, 1:][pair] - lo_b - h
+    keep = h + dh / 2.0 > 0.0
+    ua, du = ua[slab][keep], (ub - ua)[slab][keep]
+    lo, dlo, h, dh = lo[keep], (lo_b - lo)[keep], h[keep], dh[keep]
+    # the density at (xi, eta) = (1/2, 1/4), (1/2, 3/4), (1/4, 1/2),
+    # (3/4, 1/2) fixes its three coefficients
+    xi = np.array([0.5, 0.5, 0.25, 0.75])[:, None]
+    eta = np.array([0.25, 0.75, 0.5, 0.5])[:, None]
+    F = _density(A, box, ua + xi * du, lo + xi * dlo + eta * (h + xi * dh))
+    h_mid = h + dh / 2.0
+    fv = (F[1] - F[0]) / (h_mid / 2.0)
+    fx = 2.0 * (F[3] - F[2]) - fv * dh / 2.0
+    f0 = (F[0] + F[1]) / 2.0 - (fx + fv * h_mid) / 2.0
+    return _Trapezoids(rho=rho, sigma=sigma, ua=ua, du=du, lo=lo, dlo=dlo,
+                       h=h, dh=dh, f0=f0, fx=fx, fv=fv)
+
+
+def _panels(geom: _Trapezoids, t: float,
+            points_per_period: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panels across each trapezoid along xi and along eta, as floats:
+    the phase cycles across it, bounded through the phase gradient at its
+    smallest qk and ql, times points_per_period / _COARSE_ORDER, and at
+    least one.  An overflowing t gives inf or nan, which the node budget
+    refuses."""
+    g = geom
+    ub = g.ua + g.du
+    ql_min = np.minimum(
+        g.rho * g.ua + g.sigma * np.minimum(g.lo, g.lo + g.h),
+        g.rho * ub + g.sigma * np.minimum(g.lo + g.dlo,
+                                          g.lo + g.dlo + g.h + g.dh))
+    dql = np.maximum(np.abs(g.rho * g.du + g.sigma * g.dlo),
+                     np.abs(g.rho * g.du + g.sigma * (g.dlo + g.dh)))
+    along_xi = g.du / (2.0 * np.sqrt(g.ua)) + dql / (2.0 * np.sqrt(ql_min))
+    along_eta = g.sigma * np.maximum(g.h, g.h + g.dh) / (2.0 * np.sqrt(ql_min))
+    per_cycle = t * points_per_period / _COARSE_ORDER
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.maximum(1.0, np.ceil(per_cycle * along_xi)),
+                np.maximum(1.0, np.ceil(per_cycle * along_eta)))
+
+
+def _pushforward_value(spec: OscillatorySpec, geom: _Trapezoids, t: float,
+                       px: np.ndarray, py: np.ndarray, m: int) -> complex:
+    """The integral over the trapezoids, each covered by px x py panels
+    of the order-m Gauss-Legendre product rule.
+
+    The nodes of one trapezoid lie on columns of fixed xi, px m of them,
+    each holding py m nodes; along a column qk, the amplitude's qk factor
+    and the area element are constant, and ql and the density are linear
+    in eta.  Trapezoids with the same py share their eta nodes, so their
+    columns are summed together, in blocks of at most _BLOCK nodes: a
+    run of whole columns, or a run of nodes of one column.
+
+    The phase in cycles, w = t (s1 sqrt(qk) + s2 sqrt(ql)), is split
+    exactly as w = q/4 + r with q = rint(4w) and |r| <= 1/8.  One sine,
     sin(2 pi r), gives the cosine as sqrt(1 - sin^2) to rounding, since
-    cos(2 pi r) >= 0.707.  As e^{2 pi i u} = i^q e^{2 pi i r}, the sums
+    cos(2 pi r) >= 0.707.  As e^{2 pi i w} = i^q e^{2 pi i r}, the sums
     of amp cos and amp sin are kept per quarter turn, q mod 4, and
     rotated once at the end.
     """
-    kt, lt = spec.transformed()
+    g = geom
+    x, w = _leggauss(m)
+    x = (x + 1.0) / 2.0
+    w = w / 2.0
     half_p = spec.weight_exponent / 2.0
     scale = (float(spec.k @ spec.k) * float(spec.l @ spec.l)) ** half_p
     tk, tl = (4.0 * t * s for s in spec.signs)
-    rules = [_axis_rule(spec.psi_intervals[i], ms[i]) for i in range(spec.n)]
-    ak = [k2 * x for k2, (x, _) in zip(kt ** 2, rules)]
-    al = [l2 * x for l2, (x, _) in zip(lt ** 2, rules)]
-    ws = [w for _, w in rules]
-    cols = ms[-1]
-    size = math.prod(ms)
-    # the last axis's terms, repeated over as many rows as a block spans
-    reps = min(_BLOCK, size) // cols + 2
-    ak_cols, al_cols, w_cols = (np.tile(a[-1], reps) for a in (ak, al, ws))
     cos_q = np.zeros(4)
     sin_q = np.zeros(4)
-    for start in range(0, size, _BLOCK):
-        stop = min(start + _BLOCK, size)
-        # the block is a slice of rows r0 .. r1 - 1 laid end to end
-        r0, r1 = start // cols, (stop - 1) // cols + 1
-        cut = slice(start - r0 * cols, stop - r0 * cols)
-        lead = np.unravel_index(np.arange(r0, r1), ms[:-1])
-        qk = np.repeat(sum(a[i] for a, i in zip(ak, lead)), cols)[cut]
-        qk += ak_cols[cut]
-        ql = np.repeat(sum(a[i] for a, i in zip(al, lead)), cols)[cut]
-        ql += al_cols[cut]
-        amp = np.repeat(scale * math.prod(w[i] for w, i in zip(ws, lead)),
-                        cols)[cut]
-        amp *= w_cols[cut]
-        den = qk * ql
-        if half_p == 1.0:
-            amp /= den
-        else:
-            amp *= den ** -half_p
-        # v = 4u, and 2 pi r = (pi / 2) (v - rint(v)); the subtraction
-        # is exact, as rint(v) is 0 or within a factor 2 of v
-        v = np.sqrt(qk, out=qk)
-        v *= tk
-        v += tl * np.sqrt(ql, out=ql)
-        q = np.rint(v)
-        v -= q
-        v *= math.pi / 2.0
-        sin_r = np.sin(v, out=v)
-        cos_r = np.square(sin_r, out=den)
-        np.subtract(1.0, cos_r, out=cos_r)
-        np.sqrt(cos_r, out=cos_r)
-        cos_r *= amp
-        sin_r *= amp
-        quarter = q.astype(np.int64)
-        quarter &= 3
-        cos_q += np.bincount(quarter, cos_r, 4)
-        sin_q += np.bincount(quarter, sin_r, 4)
+    for panels in np.unique(py):
+        traps = np.flatnonzero(py == panels)
+        rows = np.arange(panels * m)
+        eta = (rows // m + x[rows % m]) / panels
+        w_eta = w[rows % m] / panels
+        eta_w = eta * w_eta
+        ends = np.cumsum(px[traps] * m)
+        col_step = max(1, _BLOCK // rows.size)
+        row_step = min(rows.size, _BLOCK)
+        for c0 in range(0, ends[-1], col_step):
+            col = np.arange(c0, min(c0 + col_step, ends[-1]))
+            k = np.searchsorted(ends, col, side="right")
+            tr = traps[k]
+            # the column's place among its trapezoid's px m columns
+            local = col - ends[k] + px[tr] * m
+            xi = (local // m + x[local % m]) / px[tr]
+            u = g.ua[tr] + xi * g.du[tr]
+            h = g.h[tr] + xi * g.dh[tr]
+            ql0 = g.rho * u + g.sigma * (g.lo[tr] + xi * g.dlo[tr])
+            qlh = g.sigma * h
+            cw = scale * w[local % m] / px[tr] * g.du[tr] * h * u ** -half_p
+            alpha = (g.f0[tr] + xi * g.fx[tr]) * cw
+            beta = g.fv[tr] * h * cw
+            pk = tk * np.sqrt(u)
+            for r0 in range(0, rows.size, row_step):
+                r = slice(r0, r0 + row_step)
+                ql = np.multiply.outer(qlh, eta[r])
+                ql += ql0[:, None]
+                amp = np.multiply.outer(alpha, w_eta[r])
+                amp += np.multiply.outer(beta, eta_w[r])
+                # v = 4w, and 2 pi r = (pi / 2) (v - rint(v)); the
+                # subtraction is exact, as rint(v) is 0 or within a
+                # factor 2 of v
+                v = np.sqrt(ql)
+                if half_p == 1.0:
+                    amp /= ql
+                else:
+                    den = np.sqrt(v, out=ql)
+                    den *= v
+                    amp /= den
+                v *= tl
+                v += pk[:, None]
+                q = np.rint(v)
+                v -= q
+                v *= math.pi / 2.0
+                sin_r = np.sin(v, out=v)
+                cos_r = np.square(sin_r, out=ql)
+                np.subtract(1.0, cos_r, out=cos_r)
+                np.sqrt(cos_r, out=cos_r)
+                cos_r *= amp
+                sin_r *= amp
+                quarter = q.astype(np.int64).ravel()
+                quarter &= 3
+                cos_q += np.bincount(quarter, cos_r.ravel(), 4)
+                sin_q += np.bincount(quarter, sin_r.ravel(), 4)
     # i^q (cos + i sin) for q = 0, 1, 2, 3
     return complex(cos_q[0] - sin_q[1] - cos_q[2] + sin_q[3],
                    sin_q[0] + cos_q[1] - sin_q[2] - cos_q[3])
 
 
-def _auto_nodes(spec: OscillatorySpec, t: float,
-                points_per_period: float) -> list[int]:
-    kt, lt = spec.transformed()
-    K2 = kt ** 2
-    L2 = lt ** 2
-    box = spec.psi_intervals
-    min_k = math.sqrt(float(box[:, 0] @ K2))
-    min_l = math.sqrt(float(box[:, 0] @ L2))
-    ms = []
-    for i in range(spec.n):
-        grad = K2[i] / (2.0 * min_k) + L2[i] / (2.0 * min_l)
-        cycles = t * grad * (box[i, 1] - box[i, 0])
-        ms.append(max(16, math.ceil(points_per_period * cycles)))
-    return ms
-
-
 def I_kl(spec: OscillatorySpec, t: float,
          points_per_period: float = _POINTS_PER_PERIOD) -> complex:
-    """The oscillatory integral at parameter t.
+    """The oscillatory integral at parameter t, as the 2-D integral over
+    the trapezoids that cut the image of the box (module docstring).
 
-    Each axis gets points_per_period nodes per cycle of the phase along
-    it, as the phase gradient bounds the cycles, and at least 16; the
-    value is recomputed on a finer rule and the two must agree to
-    _TARGET_REL times the box volume, otherwise ResolutionError.
+    Each side of a trapezoid is cut into panels, enough for the coarse
+    order-8 rule to place points_per_period nodes per cycle of the phase
+    across it, as the phase gradient bounds the cycles, and at least one.
+    The order-12 rule on the same panels gives the returned value; the
+    two must agree to _TARGET_REL times the box volume, otherwise
+    ResolutionError, as also when the two rules together need more than
+    _MAX_TOTAL_POINTS nodes.
     """
     if t < 0 or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative")
     if not (math.isfinite(points_per_period) and points_per_period > 0):
         raise ValueError("points_per_period must be finite and positive")
-    ms = _auto_nodes(spec, t, points_per_period)
-    if max(ms) > _MAX_NODES_PER_AXIS:
+    geom = _trapezoids(spec)
+    px, py = _panels(geom, t, points_per_period)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = ((_COARSE_ORDER ** 2 + _FINE_ORDER ** 2)
+                 * float(np.sum(px * py)))
+    if not nodes <= _MAX_TOTAL_POINTS:
         raise ResolutionError(
-            f"requires {max(ms)} nodes on one axis, over the cap of "
-            f"{_MAX_NODES_PER_AXIS}; t is too large for the budget"
+            f"panel rules need {nodes:.2e} evaluations, over the budget of "
+            f"{_MAX_TOTAL_POINTS:.1e}; t is too large for the budget"
         )
-    fine = [m + max(8, m // 4) for m in ms]
-    pts = float(np.prod(ms)) + float(np.prod(fine))
-    if pts > _MAX_TOTAL_POINTS:
-        raise ResolutionError(
-            f"tensor rule needs {pts:.2e} evaluations, over the budget"
-        )
-    coarse_val = _tensor_value(spec, t, ms)
-    fine_val = _tensor_value(spec, t, fine)
+    px, py = px.astype(np.int64), py.astype(np.int64)
+    coarse_val = _pushforward_value(spec, geom, t, px, py, _COARSE_ORDER)
+    fine_val = _pushforward_value(spec, geom, t, px, py, _FINE_ORDER)
     box = spec.psi_intervals
     box_vol = float(np.prod(box[:, 1] - box[:, 0]))
     if abs(fine_val - coarse_val) > _TARGET_REL * box_vol:
@@ -413,12 +583,12 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     for t in ts:
         cycles = abs(t * (phv[-1] - phv[0])) / (2.0 * math.pi)
         panels = max(4, math.ceil(cycles / 3.0))
-        nodes, wts = _leggauss(32)
+        nodes, wts = _leggauss(_VDC_ORDER)
         edges = np.linspace(a, b, panels + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1] - edges[0]) / 2.0
         xx = (centers[:, None] + half * nodes[None, :]).ravel()
-        ww = np.broadcast_to(half * wts, (panels, 32)).ravel()
+        ww = np.broadcast_to(half * wts, (panels, _VDC_ORDER)).ravel()
         pv = _eval_on(phi, xx)
         sv = _eval_on(psi0, xx)
         val = np.sum(ww * sv * (np.cos(t * pv) + 1j * np.sin(t * pv)))

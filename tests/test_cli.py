@@ -258,6 +258,37 @@ def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
     assert message in capsys.readouterr().err
 
 
+class TestManifest:
+    @pytest.mark.parametrize("command, cfg, seed, expected", [
+        ("theorem2", {"n": 3, "t": 2.0, "samples": 20, "seed": 134}, None,
+         134),
+        ("theorem2", {"n": 3, "t": 2.0, "samples": 20, "seed": 134}, 7, 7),
+        ("theorem1", dict(_THEOREM1, seed=None), None, 0),
+        ("count", {"basis": "identity", "n": 2, "t": 2}, None, None),
+    ], ids=["config-seed", "flag-seed", "default-seed", "draws-nothing"])
+    def test_seed_that_ran(self, tmp_path, command, cfg, seed, expected):
+        """The manifest records the seed the run drew from, wherever it
+        came from, and null for a command that draws nothing."""
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        out = tmp_path / "run"
+        assert run(tmp_path, command, cfg, out=out, seed=seed) == OK
+        manifest = read_json(out / "manifest.json")
+        assert manifest["seed"] == expected
+        assert manifest["config"] == cfg
+        if expected is not None:
+            assert read_json(out / "result.json")["seed"] == expected
+
+    def test_dependency_versions(self, tmp_path):
+        from importlib import metadata
+
+        out = tmp_path / "run"
+        assert run(tmp_path, "cn", {"n": 3}, out=out) == OK
+        manifest = read_json(out / "manifest.json")
+        assert manifest["dependencies"] == {
+            "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy")}
+
+
 class TestOutDirectory:
     @pytest.mark.parametrize("under", [False, True],
                              ids=["existing-file", "path-under-a-file"])
@@ -306,6 +337,29 @@ class TestConfigKeys:
         assert run(tmp_path, command, cfg) == USAGE
         err = capsys.readouterr().err
         assert f"{command} reads no config key '{key}'" in err
+
+    @pytest.mark.parametrize("command, cfg, key", [
+        ("theorem1", dict(_THEOREM1, family=dict(_FAMILY, centre="oops")),
+         "'family.centre'"),
+        ("count", {"basis": {"n": 2, "columns": [[1, 0], [0, 1]]}, "n": 3,
+                   "t": 1}, "'n'"),
+        ("sandwich", {"basis": {"n": 2, "columns": [[1, 0], [0, 1]],
+                                "scale": 2.0}, "t": 2.5, "epsilon": 0.1},
+         "'basis.scale'"),
+    ], ids=["family-centre", "n-beside-basis", "basis-scale"])
+    def test_unread_nested_key_refused(self, tmp_path, capsys, monkeypatch,
+                                       command, cfg, key):
+        """A nested key nothing reads, or a top-level n that contradicts
+        the basis object beside it, exits 2 naming the key instead of
+        running on what the other keys say."""
+        def no_count(*args):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(cli, "mc_stats", no_count)
+        monkeypatch.setattr(cli, "count_scan", no_count)
+        monkeypatch.setattr(cli, "sandwich_check", no_count)
+        assert run(tmp_path, command, cfg) == USAGE
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["cn", "--n", "3"], ["cn", "--tol", "1e-8"],

@@ -14,7 +14,9 @@ from latticeball.oscillatory import (
     ResolutionError,
     _eval_on,
     _leggauss,
-    _tensor_value,
+    _panels,
+    _pushforward_value,
+    _trapezoids,
     discriminant,
     hessian_bound_check,
     phase,
@@ -40,8 +42,9 @@ def spec2(k=(1, 1), l=(1, -1), signs=(1, 1), eta=(0.25,)):
 
 
 def dense_value(spec, t, ms):
-    """The tensor Gauss-Legendre sum written from the definition, with
-    every node of the grid at once."""
+    """The tensor Gauss-Legendre sum over the box written from the
+    definition, with ms[i] nodes on axis i, one slice of the grid across
+    the first axis at a time."""
     kt, lt = spec.transformed()
     box = spec.psi_intervals
     p = spec.weight_exponent
@@ -51,15 +54,62 @@ def dense_value(spec, t, ms):
         half = (box[i, 1] - box[i, 0]) / 2.0
         axes.append(box[i, 0] + half * (x + 1.0))
         weights.append(half * w)
-    grids = np.meshgrid(*axes, indexing="ij")
-    weight = np.prod(np.meshgrid(*weights, indexing="ij"), axis=0)
-    qk = sum(kt[i] ** 2 * grids[i] for i in range(spec.n))
-    ql = sum(lt[i] ** 2 * grids[i] for i in range(spec.n))
-    amp = ((spec.k @ spec.k) / qk) ** (p / 2) \
-        * ((spec.l @ spec.l) / ql) ** (p / 2)
+    rest = np.meshgrid(*axes[1:], indexing="ij")
+    rest_weight = np.prod(np.meshgrid(*weights[1:], indexing="ij"), axis=0)
     s1, s2 = spec.signs
-    phase = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
-    return complex(np.sum(weight * amp * np.exp(1j * phase)))
+    total = 0j
+    for a0, w0 in zip(axes[0], weights[0]):
+        qk = kt[0] ** 2 * a0 + sum(kt[i] ** 2 * rest[i - 1]
+                                   for i in range(1, spec.n))
+        ql = lt[0] ** 2 * a0 + sum(lt[i] ** 2 * rest[i - 1]
+                                   for i in range(1, spec.n))
+        amp = ((spec.k @ spec.k) / qk) ** (p / 2) \
+            * ((spec.l @ spec.l) / ql) ** (p / 2)
+        phase = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
+        total += complex(np.sum(w0 * rest_weight * amp * np.exp(1j * phase)))
+    return total
+
+
+def dense_reference(spec, t):
+    """dense_value on enough nodes per axis to be exact to rounding: 24
+    plus 6 per cycle of the phase along the axis, the cycles bounded
+    through the phase gradient at the box's lower corner."""
+    kt, lt = spec.transformed()
+    box = spec.psi_intervals
+    min_k = math.sqrt(float(box[:, 0] @ kt ** 2))
+    min_l = math.sqrt(float(box[:, 0] @ lt ** 2))
+    grad = kt ** 2 / (2.0 * min_k) + lt ** 2 / (2.0 * min_l)
+    cycles = t * grad * (box[:, 1] - box[:, 0])
+    return dense_value(spec, t, [24 + math.ceil(6.0 * c) for c in cycles])
+
+
+def panel_sum(spec, geom, t, px, py, m):
+    """The panel rule of _pushforward_value written from the definition:
+    for each trapezoid, the product Gauss-Legendre rule on its px x py
+    panels in (xi, eta), with every node at once."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    g = geom
+    p = spec.weight_exponent
+    s1, s2 = spec.signs
+    total = 0j
+    for i in range(len(g.ua)):
+        xi = ((np.arange(px[i])[:, None] + x) / px[i]).ravel()
+        eta = ((np.arange(py[i])[:, None] + x) / py[i]).ravel()
+        w_xi = np.tile(w / px[i], px[i])
+        w_eta = np.tile(w / py[i], py[i])
+        xi, eta = np.meshgrid(xi, eta, indexing="ij")
+        h = g.h[i] + xi * g.dh[i]
+        u = g.ua[i] + xi * g.du[i]
+        v = g.lo[i] + xi * g.dlo[i] + eta * h
+        qk, ql = u, g.rho * u + g.sigma * v
+        density = g.f0[i] + xi * g.fx[i] + eta * g.fv[i] * h
+        amp = ((spec.k @ spec.k) / qk) ** (p / 2) \
+            * ((spec.l @ spec.l) / ql) ** (p / 2)
+        phase = 2.0 * math.pi * t * (s1 * np.sqrt(qk) + s2 * np.sqrt(ql))
+        area = np.outer(w_xi, w_eta) * g.du[i] * h
+        total += complex(np.sum(area * density * amp * np.exp(1j * phase)))
+    return total
 
 
 class TestSpecValidation:
@@ -184,15 +234,18 @@ class TestIkl:
         def no_rule(*args):
             raise AssertionError("a rule was built")
 
-        monkeypatch.setattr(oscillatory, "_axis_rule", no_rule)
+        monkeypatch.setattr(oscillatory, "_trapezoids", no_rule)
         s = spec3([1, 2, 1], [2, -1, 1])
         with pytest.raises(ValueError, match="points_per_period"):
             I_kl(s, 8.0, points_per_period=ppp)
 
     def test_resolution_budget_error(self):
+        # refused from the panel counts, before any node is allocated, and
+        # without overflow where the counts are too large for a float
         s = spec3([1, 2, 1], [2, -1, 1])
-        with pytest.raises(ResolutionError):
-            I_kl(s, 1e6)
+        for t in (1e6, 1e300):
+            with pytest.raises(ResolutionError):
+                I_kl(s, t)
 
     def test_two_dimensional_case(self):
         s = OscillatorySpec(n=2, k=np.array([1.0, 1.0]),
@@ -212,37 +265,48 @@ class TestIkl:
 
 
 class TestTensorKernel:
-    @pytest.mark.parametrize("n, ms, block", [
-        (3, [13, 17, 19], None),
-        (3, [30, 41, 57], 997),
-        (2, [60, 77], None),
-        (2, [150, 203], 97),
+    """The blocked quarter-turn sum of _pushforward_value against the
+    product Gauss-Legendre rule on each trapezoid's panels summed
+    directly."""
+
+    @pytest.mark.parametrize("n, block", [
+        (3, None),
+        (3, 127),
+        (2, None),
+        (2, 97),
     ], ids=["n3-one-block", "n3-small-odd-blocks", "n2-one-block",
             "n2-small-odd-blocks"])
     @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
     @pytest.mark.parametrize("t", [1.0, 17.0, 200.0])
-    def test_matches_dense_sum(self, monkeypatch, n, ms, block, signs, t):
-        if block is None:
-            assert math.prod(ms) < oscillatory._BLOCK
-        else:
-            # blocks end mid-row and mid-slab, and the last one is short
-            monkeypatch.setattr(oscillatory, "_BLOCK", block)
-            assert block % ms[-1] and block % math.prod(ms[1:])
-            assert math.prod(ms) % block
+    def test_matches_dense_sum(self, monkeypatch, n, block, signs, t):
         if n == 3:
             s = spec3([1, 2, 1], [2, -1, 1], signs=signs)
         else:
             s = spec2(signs=signs)
-        box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
-        ref = dense_value(s, t, ms)
-        assert abs(_tensor_value(s, t, ms) - ref) <= 1e-12 * box_vol
+        geom = _trapezoids(s)
+        ppp = 1.0 if n == 3 else 2.0
+        px, py = (a.astype(np.int64) for a in _panels(geom, t, ppp))
+        for m in (oscillatory._COARSE_ORDER, oscillatory._FINE_ORDER):
+            if block is None:
+                # each group of trapezoids in a single block
+                monkeypatch.setattr(oscillatory, "_BLOCK",
+                                    m * m * int(np.sum(px * py)))
+            else:
+                # blocks end mid-trapezoid, and at t = 200 mid-column
+                monkeypatch.setattr(oscillatory, "_BLOCK", block)
+                assert any(block % (m * q) for q in py)
+                assert t < 200.0 or m * max(py) > block
+            box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
+            ref = panel_sum(s, geom, t, px, py, m)
+            val = _pushforward_value(s, geom, t, px, py, m)
+            assert abs(val - ref) <= 1e-12 * box_vol
 
     def test_bounded_memory(self):
+        # 6e6 nodes, 90 MB as one array of doubles
         s = spec2()
-        _leggauss(1500)  # the shared cached rule is not the kernel's
         tracemalloc.start()
         try:
-            _tensor_value(s, 8.0, [1500, 1500])
+            I_kl(s, 200.0, points_per_period=10.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,8 +314,10 @@ class TestTensorKernel:
 
 
 class TestLeggauss:
-    @pytest.mark.parametrize("m", [2, 17, 300])
+    @pytest.mark.parametrize("m", [8, 12, 32])
     def test_cached_rule_is_numpys_read_only(self, m):
+        assert m in (oscillatory._COARSE_ORDER, oscillatory._FINE_ORDER,
+                     oscillatory._VDC_ORDER)
         nodes, weights = _leggauss(m)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(m)
         assert np.array_equal(nodes, ref_nodes)
@@ -259,6 +325,84 @@ class TestLeggauss:
         assert not nodes.flags.writeable and not weights.flags.writeable
         again = _leggauss(m)
         assert again[0] is nodes and again[1] is weights
+
+
+ETA3 = (0.3, -0.2, 0.5)
+ETA2 = (0.25,)
+# (n, k, l, eta) for each case, keyed by its test id: a generic pair,
+# l = +-k, 2k, 3k (l = 2k makes L - rho K exactly 0, l = 3k leaves a
+# rounding residue), and axis vectors whose K and L share a zero entry,
+# which makes a generator of the image zero
+PAIRS = {
+    "n3-generic": (3, (1, 2, 1), (2, -1, 1), ETA3),
+    "n3-equal": (3, (1, 2, 1), (1, 2, 1), ETA3),
+    "n3-opposite": (3, (1, 2, 1), (-1, -2, -1), ETA3),
+    "n3-double": (3, (1, 2, 1), (2, 4, 2), ETA3),
+    "n3-triple": (3, (1, 2, 1), (3, 6, 3), ETA3),
+    "n3-axes": (3, (0, 0, 1), (0, 1, 0), ETA3),
+    "n3-axes-flat": (3, (1, 0, 0), (0, 1, 0), (0.0, 0.0, 0.0)),
+    "n2-generic": (2, (1, 1), (1, -1), ETA2),
+    "n2-equal": (2, (1, 2), (1, 2), ETA2),
+    "n2-opposite": (2, (1, 2), (-1, -2), ETA2),
+    "n2-double": (2, (1, 2), (2, 4), ETA2),
+    "n2-triple": (2, (1, 2), (3, 6), ETA2),
+    "n2-axes": (2, (0, 1), (0, 1), ETA2),
+}
+# l = k + d v for d down to 0, against the dense rule on the box
+NEAR_PARALLEL = {
+    f"n{n}-d{d:g}": (n, k, tuple(np.add(k, np.multiply(d, v))), eta)
+    for n, k, v, eta in ((3, (1, 2, 1), (1, -1, 2), ETA3),
+                         (2, (1, 2), (1, -1), ETA2))
+    for d in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0)
+}
+
+
+def make_spec(case, signs=(1, -1), width=0.25):
+    n, k, l, eta = case
+    lo = np.array([1.0, 1.1, 1.05][:n])
+    return OscillatorySpec(n=n, k=np.asarray(k, float),
+                           l=np.asarray(l, float), signs=signs,
+                           eta=np.asarray(eta, float),
+                           psi_intervals=np.stack([lo, lo + width], axis=1))
+
+
+class TestTrapezoids:
+    @pytest.mark.parametrize("case", {**PAIRS, **NEAR_PARALLEL}.values(),
+                             ids=[*PAIRS, *NEAR_PARALLEL])
+    def test_density_integrates_to_box_volume(self, case):
+        s = make_spec(case, width=1.0)
+        g = _trapezoids(s)
+        # area times mean density of each trapezoid: a cubic in xi, which
+        # two Gauss-Legendre nodes integrate exactly
+        xi = (1.0 + np.array([-1.0, 1.0]) / math.sqrt(3.0))[:, None] / 2.0
+        h = g.h + xi * g.dh
+        mass = np.sum(g.du * h * (g.f0 + xi * g.fx + g.fv * h / 2.0)) / 2.0
+        box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
+        assert mass == pytest.approx(box_vol, rel=1e-13)
+        assert np.all(g.du > 0.0)
+
+
+class TestAgainstDense:
+    """I_kl against the tensor Gauss-Legendre rule over the box."""
+
+    @pytest.mark.parametrize("case", PAIRS.values(), ids=PAIRS)
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    @pytest.mark.parametrize("t", [1.0, 8.0, 32.0])
+    def test_population(self, case, signs, t):
+        s = make_spec(case, signs)
+        box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
+        val = I_kl(s, t, points_per_period=10.0)
+        assert abs(val - dense_reference(s, t)) <= 1e-9 * box_vol
+
+    @pytest.mark.parametrize("case", NEAR_PARALLEL.values(),
+                             ids=NEAR_PARALLEL)
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1)])
+    @pytest.mark.parametrize("t", [8.0, 32.0])
+    def test_near_parallel(self, case, signs, t):
+        s = make_spec(case, signs)
+        box_vol = float(np.prod(np.diff(s.psi_intervals, axis=1)))
+        val = I_kl(s, t, points_per_period=10.0)
+        assert abs(val - dense_reference(s, t)) <= 1e-9 * box_vol
 
 
 class TestDiscriminant:

@@ -8,12 +8,14 @@ or calls fails here instead of in a benchmark run.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latticeball
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import gate  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -51,3 +53,15 @@ def test_workload_setup_runs(name):
 
 def test_thread_count_reads():
     assert latticeball.meanvalue.thread_count() >= 1
+
+
+def test_oscint_gate_passes_on_cheapest_items():
+    """The cheapest n = 2 and n = 3 items of an oscint run pass the
+    benchmark's correctness gate."""
+    inputs = workloads.osc_inputs(np.random.default_rng(1), 30)
+    picks = [min((f for f in inputs if f["n"] == n), key=workloads.osc_cost)
+             for n in (2, 3)]
+    outputs = [workloads.osc_item(latticeball, None, f) for f in picks]
+    problems = gate.check_osc(latticeball, picks, outputs,
+                              np.random.default_rng(1), picks_per_dim=(1, 1))
+    assert problems == []
