@@ -81,10 +81,17 @@ def identity_basis(n: int) -> LatticeBasis:
     return LatticeBasis(np.eye(n))
 
 
-def gram(basis: LatticeBasis) -> np.ndarray:
-    """Gram matrix B^T B, symmetrized so it is exactly symmetric."""
-    m = basis.entries.T @ basis.entries
-    return (m + m.T) / 2.0
+def gram(basis) -> np.ndarray:
+    """Gram matrix B^T B, symmetrized so it is exactly symmetric.
+
+    ``basis`` is a LatticeBasis or an array of basis matrices whose last
+    two axes are the matrix, such as a stack of shape (B, n, n); each
+    matrix of a stack gets the same Gram matrix, bit for bit, as its
+    LatticeBasis alone.
+    """
+    E = basis.entries if isinstance(basis, LatticeBasis) else basis
+    m = np.swapaxes(E, -1, -2) @ E
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
 
 
 # ---------------------------------------------------------------------------

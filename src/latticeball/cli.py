@@ -228,7 +228,7 @@ def _run_theorem1(cfg: dict):
     _refuse_unread(fam, {"center", "delta", "det_floor"}, "family")
     center = _parse_basis(fam.get("center", "identity"), cfg, "family.center")
     if center.n != n:
-        raise ConfigError(f"family center has dimension {center.n}, not {n}")
+        raise InputError(f"family center has dimension {center.n}, not {n}")
     family = CompactFamilySpec(
         center=center.entries,
         delta=_number(_require(fam, "delta"), "family.delta"),

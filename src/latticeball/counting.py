@@ -11,7 +11,10 @@ expanded into their integers in one ragged arange (repeat + cumsum);
 rows whose budget goes negative are dropped.  At level 0 the admissible
 integers are a contiguous run, so they are counted in closed form and
 summed per basis with bincount.  The same code serves every dimension,
-and count_points is a batch of one.
+and count_points is a batch of one.  A batch is prepared as stacks, one
+per dimension: the volume check against the 64-bit range is one
+reduction over the determinants, and the Gram matrices are one stacked
+product, both run for every dimension before any enumeration starts.
 
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
@@ -109,21 +112,27 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
 def count_many(bases, t: float) -> np.ndarray:
     """Number of lattice points X k with |X k| <= t (closed ball) for each
     basis, in the order given, as int64.  Bases of different dimensions
-    may be mixed; each dimension is enumerated as one batch."""
+    may be mixed; each dimension is enumerated as one batch, after every
+    basis has passed the 64-bit overflow check."""
     if t < 0 or not math.isfinite(t):
         raise ValueError("radius must be finite and nonnegative")
     bases = list(bases)
     counts = np.ones(len(bases), dtype=np.int64)
     if t == 0:
         return counts
-    for X in bases:
-        if ball_volume(X.n, t, X.det) > _COUNT_LIMIT:
-            raise OverflowError("count would exceed the 64-bit range")
-    budget = t * t * (1.0 + MEMBERSHIP_SLACK)
-    for n in {X.n for X in bases}:
+    batches = []
+    for n in sorted({X.n for X in bases}):
         members = [j for j, X in enumerate(bases) if X.n == n]
-        G = np.stack([gram(bases[j]) for j in members])
-        R = np.linalg.cholesky(G).transpose(0, 2, 1)
+        # the volume falls as |det| grows, in floats too (division rounds
+        # monotonically), so the smallest |det| gives the largest volume
+        smallest = min(abs(bases[j].det) for j in members)
+        if t ** n * unit_ball_volume(n) / smallest > _COUNT_LIMIT:
+            raise OverflowError("count would exceed the 64-bit range")
+        batches.append((members,
+                        np.stack([bases[j].entries for j in members])))
+    budget = t * t * (1.0 + MEMBERSHIP_SLACK)
+    for members, entries in batches:
+        R = np.linalg.cholesky(gram(entries)).transpose(0, 2, 1)
         counts[members] = _enumerate(R, budget)
     return counts
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import LatticeBasis
-from .counting import ball_volume, count_many, error_term, unit_ball_volume
+from .counting import count_many, error_term, unit_ball_volume
 from .sampling import Seed
 
 
@@ -130,13 +130,23 @@ def mc_stats(sampler, t: float, samples: int, seed: Seed) -> ExperimentStats:
     seed.child(i); the samples are drawn in index order on the calling
     thread, counted in one count_many batch and reduced in that order, so
     the numbers depend only on the sampler, t, samples and seed.
+
+    The volumes of the whole block are one numpy expression, the same
+    IEEE operations as ball_volume per basis, so every sample must have
+    the same dimension; a block that mixes dimensions is refused.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     if t < 0:
         raise ValueError("radius must be nonnegative")
     bases = [sampler(seed.child(i)) for i in range(samples)]
-    vol = np.array([ball_volume(X.n, t, X.det) for X in bases])
+    n = bases[0].n
+    if any(X.n != n for X in bases):
+        raise ValueError("the sampler drew bases of different dimensions")
+    dets = np.array([X.det for X in bases])
+    if not np.all(np.isfinite(dets) & (dets != 0.0)):
+        raise ValueError("determinant must be finite and nonzero")
+    vol = t ** n * unit_ball_volume(n) / np.abs(dets)
     E = count_many(bases, t) - vol
     counts = E + vol
 

@@ -5,7 +5,9 @@ Randomness contract: every draw is a pure function of a Seed, which
 names a counter-based stream (Philox keyed by master and stream, both
 in [0, 2**64)).  A Monte Carlo experiment gives sample i the stream
 ``base_stream + i``, so any subset of samples can be regenerated
-independently and results never depend on evaluation order.
+independently and results never depend on evaluation order.  rng_for
+builds a fresh generator per call, keyed without the OS-entropy draw
+that numpy's ``key=`` argument makes and then discards.
 
 Haar sampling:
 
@@ -44,6 +46,7 @@ Householder against Gram-Schmidt rounding), and counts are identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,18 +76,50 @@ class Seed:
         return Seed(self.master, self.stream + offset)
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """The seed-sequence type rng_for hands to Philox, built on first use:
+    subclassing numpy.random's interface here at import time would load
+    numpy.random with every ``import latticeball``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        """A fixed Philox key posing as a seed sequence.  Philox asks its
+        seed sequence for two 64-bit words and uses them as its key, with
+        a zero counter; this one answers with the key itself."""
+
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64:
+                raise TypeError("a KeySequence only keys Philox")
+            return self.key
+
+    return KeySequence
+
+
 def rng_for(seed: Seed) -> np.random.Generator:
     """A fresh Philox generator keyed by (master, stream).
 
     Both must lie in [0, 2**64), the range of a 64-bit key word: reduced
     modulo 2**64, two different seeds (say Seed(m, 2**64 - 1).child(1)
     and Seed(m, 0)) would share one stream.
+
+    The key reaches Philox as a seed sequence, not through ``key=``: with
+    ``key=`` Philox first builds a SeedSequence from OS entropy and then
+    discards it, which cost more than half of the generator's
+    construction.  The stream is the same, Philox keyed by
+    [master, stream] from a zero counter, and every call still returns a
+    generator of its own.
     """
     if not (0 <= seed.master < _KEY_RANGE and 0 <= seed.stream < _KEY_RANGE):
         raise ValueError(f"seed master and stream must lie in [0, 2**64), "
                          f"got {seed}")
     key = np.array([seed.master, seed.stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_sequence()(key)))
 
 
 # ---------------------------------------------------------------------------

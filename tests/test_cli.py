@@ -211,7 +211,7 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("theorem1", dict(_THEOREM1, family=dict(
         _FAMILY, center={"n": 3, "columns": [[1, 0, 0], [0, 1, 0],
                                              [0, 0, 1]]})),
-     CONFIG, "dimension"),
+     USAGE, "dimension"),
     ("theorem1", dict(_THEOREM1, band=0.5), USAGE, "band"),
     ("theorem1", dict(_THEOREM1, band=[0.5]), USAGE, "band"),
     ("vdc", {"phi": 1.0, "psi0": [1.0], "a": 0.0, "b": 1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latticeball import counting
-from latticeball.basis import LatticeBasis, identity_basis
+from latticeball.basis import LatticeBasis, gram, identity_basis
 from latticeball.cli import _write_csv
 from latticeball.counting import (
     CountResult,
@@ -212,6 +212,27 @@ class TestCountMany:
         tiny = LatticeBasis(1e-10 * np.eye(3))
         with pytest.raises(OverflowError):
             count_many([identity_basis(3), tiny, identity_basis(2)], 10.0)
+
+    def test_overflow_refused_before_any_enumeration(self, monkeypatch):
+        # the hopeless basis is 3-D and the block's first dimension 2, so
+        # a check interleaved with the per-dimension passes would count
+        # the 2-D bases first
+        def enumerate_fails(R, budget):
+            raise AssertionError("enumerated before the overflow check")
+
+        monkeypatch.setattr(counting, "_enumerate", enumerate_fails)
+        tiny = LatticeBasis(1e-10 * np.eye(3))
+        with pytest.raises(OverflowError):
+            count_many([identity_basis(2), identity_basis(3), tiny], 10.0)
+
+    def test_stacked_gram_is_per_basis_gram(self, rng):
+        blocks = [[sample_haar_unimodular(HaarSamplerConfig(n=n), Seed(8, i))
+                   for i in range(size)] for n, size in ((3, 2000), (2, 500))]
+        blocks.append([random_basis(rng, 4) for _ in range(50)])
+        for bases in blocks:
+            stacked = gram(np.stack([X.entries for X in bases]))
+            single = np.stack([gram(X) for X in bases])
+            assert stacked.tobytes() == single.tobytes()
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):

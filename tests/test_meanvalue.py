@@ -1,11 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from latticeball.basis import identity_basis
-from latticeball.counting import error_term, unit_ball_volume
+from latticeball.counting import (
+    ball_volume,
+    count_points,
+    error_term,
+    unit_ball_volume,
+)
 from latticeball.meanvalue import (
+    ExperimentStats,
     compute_cn,
     fit_scaling_exponent,
     mc_stats,
@@ -14,7 +21,13 @@ from latticeball.meanvalue import (
     thread_count,
     variance_prediction,
 )
-from latticeball.sampling import CompactFamilySpec, Seed, sample_compact
+from latticeball.sampling import (
+    CompactFamilySpec,
+    HaarSamplerConfig,
+    Seed,
+    sample_compact,
+    sample_haar_unimodular,
+)
 
 from conftest import random_basis
 
@@ -98,6 +111,41 @@ class TestMcStats:
         assert stats.mean_E == pytest.approx(float(np.mean(errs)), rel=1e-12)
         assert stats.var_E == pytest.approx(float(np.var(errs, ddof=1)),
                                             rel=1e-12)
+
+    # t^3 = 512 is a power of two, under which any order of the volume's
+    # products rounds alike; 7.3 is not
+    @pytest.mark.parametrize("t", [8.0, 7.3])
+    def test_haar_block_matches_per_basis_reference(self, t):
+        """The block's stacked volumes and batched counts give exactly
+        the statistics of per-basis ball_volume and count_points."""
+        config = HaarSamplerConfig(n=3)
+
+        def sampler(seed):
+            return sample_haar_unimodular(config, seed)
+
+        seed, m = Seed(31, 1), 200
+        bases = [sampler(seed.child(i)) for i in range(m)]
+        vol = np.array([ball_volume(X.n, t, X.det) for X in bases])
+        E = np.array([count_points(X, t) for X in bases]) - vol
+        mean = float(np.mean(E))
+        var = float(np.var(E, ddof=1))
+        m4 = float(np.mean((E - mean) ** 4))
+        expected = ExperimentStats(
+            t=t, samples=m, mean_E=mean,
+            rms_E=float(np.sqrt(np.mean(E * E))), var_E=var,
+            stderr_var=math.sqrt(max(m4 - var * var, 0.0) / m),
+            mean_count=float(np.mean(E + vol)), seed=seed)
+        stats = mc_stats(sampler, t, m, seed)
+        for field in dataclasses.fields(ExperimentStats):
+            assert (getattr(stats, field.name)
+                    == getattr(expected, field.name)), field.name
+
+    def test_mixed_dimensions_refused(self):
+        def sampler(seed):
+            return identity_basis(2 + seed.stream % 2)
+
+        with pytest.raises(ValueError, match="dimension"):
+            mc_stats(sampler, 2.0, 10, Seed(1, 0))
 
     def test_stderr_shrinks_with_samples(self):
         s1 = mc_stats(self._compact_sampler(), 6.0, 400, Seed(4, 0))

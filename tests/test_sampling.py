@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticeball
 from latticeball.basis import LatticeBasis, iwasawa_decompose
 from latticeball.counting import count_many, count_points
 from latticeball.sampling import (
@@ -50,6 +55,46 @@ class TestSeed:
         # exactly what Seed(5, 0) draws
         with pytest.raises(ValueError):
             rng_for(seed)
+
+
+# keys at both ends of each word's range, as rng_for passes them to Philox
+_KEYS = [(0, 0), (12345, 7), (2 ** 64 - 1, 2 ** 63 + 3), (5, 2 ** 64 - 1)]
+
+
+class TestGenerator:
+    @staticmethod
+    def _draws(gen):
+        return (gen.bit_generator.random_raw(7).tolist(),
+                gen.uniform(-0.5, 0.5, 5).tolist(),
+                gen.exponential(0.5, 5).tolist(),
+                gen.standard_normal(9).tolist())
+
+    @pytest.mark.parametrize("master, stream", _KEYS)
+    def test_stream_is_philox_keyed_by_seed(self, master, stream):
+        key = np.array([master, stream], dtype=np.uint64)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert self._draws(rng_for(Seed(master, stream))) == self._draws(ref)
+
+    def test_generators_of_one_seed_share_nothing(self):
+        a, b = rng_for(Seed(9, 4)), rng_for(Seed(9, 4))
+        assert a.bit_generator is not b.bit_generator
+        # drawn interleaved, neither generator advances the other
+        xs, ys = [], []
+        for _ in range(4):
+            xs.append(self._draws(a))
+            ys.append(self._draws(b))
+        assert xs == ys
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        """rng_for builds its seed-sequence type on first use, so
+        `import latticeball` does not load numpy.random."""
+        src = str(Path(latticeball.__file__).resolve().parents[1])
+        probe = ("import sys, latticeball; "
+                 "print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout.strip() == "False"
 
 
 class TestSampleCompact:
