@@ -16,6 +16,7 @@ Conventions, fixed once here so every module agrees:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +35,6 @@ def _as_square_float(mat) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError("dimension must be at least 2")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
     return arr
 
 
@@ -48,14 +47,21 @@ class LatticeBasis:
 
     def __post_init__(self):
         arr = _as_square_float(self.entries)
-        arr.setflags(write=False)
-        d = float(np.linalg.det(arr))
+        rows = arr.tolist()
         # Hadamard: |det| <= product of the column norms, with equality
         # for orthogonal columns, so the ratio measures how far the
         # columns are from dependent whatever their scale or shear;
         # math.hypot over the rows as Python floats is cheaper than
-        # numpy on a 3 x 3
-        volume = math.prod(map(math.hypot, *arr.tolist()))
+        # numpy on a 3 x 3.  A NaN or infinite entry makes its column's
+        # norm, and so the product, NaN or infinite: a finite product
+        # proves every entry finite, and only a product that overflowed
+        # from finite entries gets past the entry check below
+        volume = math.prod(map(math.hypot, *rows))
+        if not math.isfinite(volume) and not all(
+                map(math.isfinite, itertools.chain.from_iterable(rows))):
+            raise ValueError("matrix entries must be finite")
+        arr.setflags(write=False)
+        d = float(np.linalg.det(arr))
         if not abs(d) > DET_GUARD * volume:
             raise SingularBasisError(
                 f"determinant {d:.3e} below guard for column-norm "

@@ -513,8 +513,7 @@ def main(argv=None) -> int:
             # commands that draw nothing
             "seed": _seed(settings) if "seed" in keys else None,
             "version": __version__,
-            "dependencies": {name: metadata.version(name)
-                             for name in ("numpy", "scipy")},
+            "dependencies": {"numpy": metadata.version("numpy")},
             "wall_time_s": wall,
             "outputs": sorted(outputs),
         }

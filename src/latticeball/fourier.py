@@ -2,9 +2,19 @@
 mollified Poisson summation that sandwiches the exact count.
 
 The transform of the unit ball has closed forms in the two dimensions we
-need: a trig expression for n = 3 and J1(2 pi s)/s for n = 2, with J1
-taken from scipy.special.  Near s = 0 both give way to a short even
-Taylor series.
+need: a trig expression for n = 3 and J1(2 pi s)/s for n = 2.  Near
+s = 0 both give way to a short even Taylor series.  J1 is computed here
+in numpy, so no library path loads scipy.  For x >= 25 it is the Hankel
+expansion
+
+    J1(x) = ((sin x - cos x) P(x) + (sin x + cos x) Q(x)) / sqrt(pi x),
+
+with P and Q summed until the first neglected term is below 2^-56; for
+real x that term bounds the remainder (DLMF 10.17(iii)), and taking sin
+and cos of x itself leaves the phase x - 3 pi/4 unrounded.  Below 25 it
+is the 64-node periodic trapezoid rule on
+J1(x) = (1/pi) int_0^pi cos(tau - x sin tau) d tau, whose error is the
+aliased J_63(x) - J_65(x), at most about (x/2)^63 / 63! < 1e-18.
 
 The mollifier is a product B-spline: rho(x) = prod rho0(x_i), where rho0
 is the order-8 B-spline on [-1, 1], the 8-fold convolution of the uniform
@@ -20,9 +30,11 @@ gathered into the product over the shell's points.  Every term is even
 in k, so each shell is evaluated on one point of every +-k pair (half its
 points) and mirrored into the full shell's order before summing, which
 leaves the sums bit-identical to summing over the full shell.  The lower
-and upper sums of the sandwich share one pass over the shells: points,
-mollifier weights and dual norms are built once per shell and summed at
-both radii.
+and upper sums of the sandwich share one pass over the shells: mollifier
+weights and dual norms are built once per shell, and the ball transform
+is one call on every radius still summing times every dual norm.  The
+integer points of the shells up to _CACHED_SHELLS are built once per
+process.
 
 Every sum carries a proven tail.  Past shell C every frequency has
 |X^{-T} k| >= sigma (C + 1), where sigma = 1/||X||_2 is the smallest
@@ -32,10 +44,20 @@ singular value of X^{-T}, so at radius r
 
 bounds everything the sum leaves out.  env(s) bounds |hat_chi_ball(n, s')|
 for all s' >= s: 1/(pi s^2) + 1/(2 pi^2 s^3) for n = 3 and
-sqrt(J1^2 + Y1^2)(2 pi s)/s for n = 2, a modulus that decreases by
-Nicholson's formula.  G_C = sum_{|k| <= C} g(epsilon k), and
-H = (4/(pi epsilon))^8 (a^-8 + a^-7/7) with a = C + 1 bounds
-sum_{k > C} g(epsilon k).  R allows for the rounding of the float sums.
+M(2 pi s)/s for n = 2, with M(x) >= sqrt(J1^2 + Y1^2)(x) >= |J1(x)| from
+Nicholson's formula (Watson, Bessel Functions, 13.73), cosh 2t =
+1 + 2 sinh^2 t and the substitution u = sinh t:
+
+    J1^2 + Y1^2 = (8/pi^2) int_0^inf K0(2x u) (1 + 2u^2)/sqrt(1 + u^2) du
+                <= (8/pi^2) int_0^inf K0(2x u) (1 + 3u^2/2) du
+                 = (2/(pi x)) (1 + 3/(8 x^2)) = M(x)^2,
+
+since (1 + 2u^2)^2 <= (1 + u^2)(1 + 3u^2/2)^2 and
+int_0^inf u^j K0(a u) du is pi/(2a) for j = 0 and pi/(2a^3) for j = 2.
+M decreases, so each tail stays a proof.  G_C = sum_{|k| <= C}
+g(epsilon k), and H = (4/(pi epsilon))^8 (a^-8 + a^-7/7) with a = C + 1
+bounds sum_{k > C} g(epsilon k).  R allows for the rounding of the float
+sums.
 The sandwich counts exactly before it sums, so each of its two sums stops
 at the first shell whose proven tail is below its margin (count - lower
 or upper - count), or, where the margin is too thin for that, at the
@@ -61,6 +83,91 @@ from .counting import count_points, unit_ball_volume
 # even Taylor series takes over
 _SMALL_S = 1e-3
 
+# J1 by the Hankel expansion from this argument on, by the trapezoid rule
+# below it
+_HANKEL_FROM = 25.0
+# the Hankel sums stop at the first term below this
+_HANKEL_CUT = 2.0 ** -56
+
+
+def _hankel_coefficients(count: int) -> tuple[float, ...]:
+    """a_k(1) = prod_{j=1..k} (4 - (2j - 1)^2) / (k! 8^k), k < count, the
+    Hankel coefficients of order 1 (DLMF 10.17.1)."""
+    a = [1.0]
+    for k in range(count - 1):
+        a.append(a[-1] * (4 - (2 * k + 1) ** 2) / (8 * (k + 1)))
+    return tuple(a)
+
+
+# 19 terms reach 2^-56 at x = 25; one more is the first neglected term
+_HANKEL = _hankel_coefficients(20)
+
+# J1(x) = (1/pi) int_0^pi cos(tau - x sin tau) d tau is the mean of that
+# integrand over a whole period, where the trapezoid rule on 64 nodes
+# tau_j = 2 pi j/64 is exact up to the aliased J_63(x) - J_65(x).  The
+# integrand is 1 at tau = 0 and -1 at pi, and folding tau_j with
+# pi - tau_j and 2 pi - tau_j leaves sin(tau_j) sin(x sin tau_j) / 16 for
+# j = 1..15 and sin(x) / 32 for j = 16
+_TRAPEZOID_SIN = np.sin(math.pi * np.arange(1, 17) / 32.0)
+_TRAPEZOID_SIN[-1] = 1.0
+_TRAPEZOID_WEIGHTS = np.append(_TRAPEZOID_SIN[:-1] / 16.0, 1.0 / 32.0)
+# arguments per block of the trapezoid rule, which holds 16 sines per
+# argument
+_TRAPEZOID_BLOCK = 4096
+
+
+def _horner(coefficients, y: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[k] y^k at each y."""
+    if not coefficients:
+        return np.zeros_like(y)
+    acc = np.full_like(y, coefficients[-1])
+    for c in coefficients[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _j1_hankel(x: np.ndarray) -> np.ndarray:
+    """J1 at each x >= _HANKEL_FROM by the Hankel expansion."""
+    # the term count of the call's smallest argument serves them all,
+    # since each term a_k / x^k falls with x; fmin passes over a NaN
+    x0 = float(np.fmin.reduce(x))
+    terms = 1
+    while abs(_HANKEL[terms]) >= _HANKEL_CUT * x0 ** terms:
+        terms += 1
+    # P = sum_k (-1)^k a_2k z^2k and Q = sum_k (-1)^k a_(2k+1) z^(2k+1)
+    # over the first `terms` a_k, with z = 1/x
+    z = 1.0 / x
+    y = -z * z
+    p = _horner(_HANKEL[0:terms:2], y)
+    q = _horner(_HANKEL[1:terms:2], y) * z
+    sin, cos = np.sin(x), np.cos(x)
+    return ((sin - cos) * p + (sin + cos) * q) / np.sqrt(math.pi * x)
+
+
+def _j1_trapezoid(x: np.ndarray) -> np.ndarray:
+    """J1 at each x < _HANKEL_FROM by the trapezoid rule, in blocks."""
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _TRAPEZOID_BLOCK):
+        block = slice(lo, lo + _TRAPEZOID_BLOCK)
+        out[block] = (np.sin(np.multiply.outer(x[block], _TRAPEZOID_SIN))
+                      @ _TRAPEZOID_WEIGHTS)
+    return out
+
+
+def _j1(x: np.ndarray) -> np.ndarray:
+    """Bessel J1 at each x > 0 of a 1-d array (module docstring), within
+    32 units of 2^-52 min(0.6, sqrt(2/(pi x))), the size of J1 near x."""
+    near = x < _HANKEL_FROM
+    if not near.any():
+        return _j1_hankel(x)
+    out = np.empty_like(x)
+    out[near] = _j1_trapezoid(x[near])
+    far = ~near
+    if far.any():
+        out[far] = _j1_hankel(x[far])
+    return out
+
 
 def hat_chi_ball(n: int, s):
     """Fourier transform of the unit-ball indicator at radial frequency s.
@@ -68,7 +175,9 @@ def hat_chi_ball(n: int, s):
     n = 3: -cos(2 pi s)/(pi s^2) + sin(2 pi s)/(2 pi^2 s^3)
     n = 2: J1(2 pi s)/s
     with the value at s = 0 equal to the unit-ball volume and a short
-    even Taylor series bridging the removable singularity.
+    even Taylor series bridging the removable singularity.  For n = 2 the
+    Hankel term count comes from the call's smallest argument, so an
+    argument's value may differ in its last bits between calls.
     """
     if n not in (2, 3):
         raise ValueError("closed forms are implemented for n in {2, 3}")
@@ -95,12 +204,10 @@ def hat_chi_ball(n: int, s):
             out[tiny] = 4.0 * math.pi * poly
     else:
         if np.any(big):
-            # imported here, not at module level: scipy.special costs about
-            # 0.2 s and 25 MB on import, which callers that never ask for
-            # the n = 2 transform should not pay
-            from scipy.special import j1
+            # J1 in numpy: scipy.special would cost about 0.3 s and 25 MB
+            # on first use, inside the first n = 2 call
             sb = s[big]
-            out[big] = j1(2.0 * math.pi * sb) / sb
+            out[big] = _j1(2.0 * math.pi * sb) / sb
         if np.any(tiny):
             st = s[tiny]
             v = (math.pi * st) ** 2
@@ -114,17 +221,16 @@ def _ball_envelope(n: int, s: float) -> float:
     in s.
 
     n = 3: 1/(pi s^2) + 1/(2 pi^2 s^3), the closed form with |cos| and
-    |sin| bounded by 1.  n = 2: sqrt(J1^2 + Y1^2)(2 pi s) / s, since
-    |J1| <= sqrt(J1^2 + Y1^2) and that modulus decreases (Nicholson's
-    formula).  Both are capped at the unit-ball volume, hat_chi_ball's
-    value at 0 and the largest it takes.
+    |sin| bounded by 1.  n = 2: M(2 pi s)/s with M(x)^2 =
+    (2/(pi x))(1 + 3/(8 x^2)) >= J1^2 + Y1^2 >= J1^2, the Nicholson bound
+    of the module docstring.  Both are capped at the unit-ball volume,
+    hat_chi_ball's value at 0 and the largest it takes.
     """
     if n == 3:
         env = 1.0 / (math.pi * s * s) + 1.0 / (2.0 * math.pi ** 2 * s ** 3)
     else:
-        from scipy.special import j1, y1
         x = 2.0 * math.pi * s
-        env = math.hypot(j1(x), y1(x)) / s
+        env = math.sqrt(2.0 / (math.pi * x) * (1.0 + 3.0 / (8.0 * x * x))) / s
     return min(env, unit_ball_volume(n))
 
 
@@ -213,19 +319,41 @@ def _shell_points(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(faces), np.concatenate(index)
 
 
+# shells up to this sup norm keep their points for the life of the
+# process: about 3 MB for n = 2 and 3 together
+_CACHED_SHELLS = 24
+_shell_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+
+
+def _shell(n: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_shell_points(n, c) as (K, K as floats, index), read-only and
+    built once per process when c <= _CACHED_SHELLS."""
+    shell = _shell_cache.get((n, c))
+    if shell is None:
+        K, index = _shell_points(n, c)
+        shell = (K, K.astype(float), index)
+        if c <= _CACHED_SHELLS:
+            for a in shell:
+                a.setflags(write=False)
+            _shell_cache[n, c] = shell
+    return shell
+
+
 def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """|W k| at each row k of K."""
-    return np.sqrt(np.sum((K.astype(float) @ W.T) ** 2, axis=1))
+    """|W k| at each row k of K (integers, or the same as floats)."""
+    return np.sqrt(np.sum((np.asarray(K, dtype=float) @ W.T) ** 2, axis=1))
 
 
 def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
     """Mollifier transform prod_j rho0_hat(epsilon k_j) at each point k of
     shell c, gathered from rho0_hat at the c + 1 values |k_j| = 0..c."""
     r = _rho0_hat(epsilon * np.arange(c + 1))
-    A = np.abs(K)
+    # rho0_hat is even: with the values for k_j = 1..c appended in
+    # reverse, a negative k_j indexes its own value from the end
+    r = np.concatenate((r, r[:0:-1]))
     rho = np.ones(K.shape[0])
     for j in range(K.shape[1]):
-        rho *= r[A[:, j]]
+        rho *= r[K[:, j]]
     return rho
 
 
@@ -252,10 +380,12 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
 
     A shell's points, mollifier weights and dual norms do not depend on
     the radius, so each shell is built once and summed at every radius
-    still accumulating.  Every term is even in k, so the weights, dual
-    norms and ball transforms are evaluated on one point of each +-k pair
-    and gathered into the full shell's order before summing: the sums add
-    the same numbers in the same sequence as over the full shell.
+    still accumulating, with one ball-transform call on the outer product
+    of those radii and the dual norms.  Every term is even in k, so the
+    weights, dual norms and ball transforms are evaluated on one point of
+    each +-k pair and gathered into the full shell's order before summing:
+    the sums add the same numbers in the same sequence as over the full
+    shell.
 
     The tail of radius r after shell C is the bound of the module
     docstring plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
@@ -293,17 +423,19 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     s_max = 0.0
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
-        K, index = _shell_points(n, c)
+        K, Kf, index = _shell(n, c)
         rho = _shell_rho(K, c, epsilon)
-        s = _dual_norms(K, W)
+        s = _dual_norms(Kf, W)
         s_max = max(s_max, float(np.max(s)))
         rho_mass = 2.0 * float(np.sum(rho))
         g_sum += 2.0 * _rho0_majorant(epsilon * c)
         gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
-        for i in active:
+        transform = hat_chi_ball(
+            n, np.multiply.outer([radii[i] for i in active], s))
+        for i, chi in zip(active, transform):
             t = radii[i]
             scale = t ** n / det
-            half = scale * hat_chi_ball(n, t * s) * rho
+            half = scale * chi * rho
             values[i] += float(np.sum(half[index]))
             mass[i] += scale * envelope[i] * rho_mass
             envelope[i] = _ball_envelope(n, t * sigma * (c + 1))

@@ -421,11 +421,22 @@ def I_kl(spec: OscillatorySpec, t: float,
     ResolutionError, as also when the two rules together need more than
     _MAX_TOTAL_POINTS nodes.
     """
+    _check_I_kl_args(t, points_per_period)
+    return _I_kl_on(spec, _trapezoids(spec), t, points_per_period)
+
+
+def _check_I_kl_args(t: float, points_per_period: float) -> None:
     if t < 0 or not math.isfinite(t):
         raise ValueError("t must be finite and nonnegative")
     if not (math.isfinite(points_per_period) and points_per_period > 0):
         raise ValueError("points_per_period must be finite and positive")
-    geom = _trapezoids(spec)
+
+
+def _I_kl_on(spec: OscillatorySpec, geom: _Trapezoids, t: float,
+             points_per_period: float) -> complex:
+    """I_kl on the trapezoids ``geom`` of ``spec``, which do not depend
+    on t, so that a check over several t builds them once; the arguments
+    are checked by the caller."""
     px, py = _panels(geom, t, points_per_period)
     with np.errstate(over="ignore", invalid="ignore"):
         nodes = ((_COARSE_ORDER ** 2 + _FINE_ORDER ** 2)
@@ -491,7 +502,8 @@ def hessian_bound_check(
         spec: OscillatorySpec, t_grid,
         points_per_period: float = _POINTS_PER_PERIOD) -> HessianReport:
     """Measured |I_kl(t)| against the stationary-phase envelope
-    |k|^{3/2} |l|^{3/2} / (t |disc|), each I_kl at points_per_period."""
+    |k|^{3/2} |l|^{3/2} / (t |disc|), each I_kl at points_per_period on
+    one set of trapezoids for the whole grid."""
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
@@ -502,11 +514,14 @@ def hessian_bound_check(
         raise ValueError("discriminant is too close to zero")
     nk = float(np.linalg.norm(spec.k))
     nl = float(np.linalg.norm(spec.l))
+    for t in ts:
+        _check_I_kl_args(t, points_per_period)
+    geom = _trapezoids(spec)
     measured = []
     bound = []
     ratios = []
     for t in ts:
-        val = abs(I_kl(spec, t, points_per_period))
+        val = abs(_I_kl_on(spec, geom, t, points_per_period))
         env = nk ** 1.5 * nl ** 1.5 / (t * abs(disc))
         measured.append(val)
         bound.append(env)

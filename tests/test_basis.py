@@ -59,6 +59,30 @@ class TestLatticeBasis:
         with pytest.raises(ValueError):
             LatticeBasis(np.array([[1.0, 0.0], [0.0, np.inf]]))
 
+    @pytest.mark.parametrize("M", [
+        [[1.0, 0.0], [0.0, np.inf]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[-np.inf, 0.0], [np.nan, 1.0]],
+        # a zero column beside a non-finite one: inf * 0 and nan * 0
+        [[np.inf, 0.0], [0.0, 0.0]],
+        [[0.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]],
+    ])
+    def test_nonfinite_refused_before_singularity(self, M):
+        """A NaN or infinite entry is named as such, even where the
+        matrix is also singular."""
+        with pytest.raises(ValueError, match="must be finite") as info:
+            LatticeBasis(np.array(M))
+        assert not isinstance(info.value, SingularBasisError)
+
+    def test_overflowing_column_norms_are_finite_entries(self):
+        """Finite entries whose column-norm product overflows pass the
+        entry check and meet the singularity guard."""
+        big = np.array([[1e200, 0.0], [0.0, 1e200]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(SingularBasisError, match="below guard"):
+            LatticeBasis(big)
+
     def test_scaled(self):
         b = identity_basis(2).scaled(3.0)
         assert b.det == pytest.approx(9.0)

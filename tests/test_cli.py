@@ -285,8 +285,7 @@ class TestManifest:
         assert run(tmp_path, "cn", {"n": 3}, out=out) == OK
         manifest = read_json(out / "manifest.json")
         assert manifest["dependencies"] == {
-            "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy")}
+            "numpy": metadata.version("numpy")}
 
 
 class TestOutDirectory:

@@ -19,13 +19,16 @@ from latticeball.counting import count_points
 from latticeball.fourier import (
     MollifierSpec,
     SandwichResult,
+    _CACHED_SHELLS,
     _ball_envelope,
     _dual_norms,
+    _j1,
     _majorant_tail,
     _poisson_sums,
     _power_gap,
     _rho0_hat,
     _rho0_majorant,
+    _shell,
     _shell_points,
     _shell_rho,
     hat_chi_ball,
@@ -96,6 +99,56 @@ class TestHatChiBall:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             hat_chi_ball(4, 1.0)
+
+
+class TestJ1:
+    """The numpy J1 behind hat_chi_ball(2, .), over every argument that
+    hat_chi_ball passes it (x = 2 pi s with s >= 1e-3) up to 1e6."""
+
+    X = np.logspace(math.log10(2.0 * math.pi * 1e-3), 6.0, 4000)
+
+    def test_against_mpmath(self):
+        """Within 32 units of 2^-52 min(0.6, sqrt(2/(pi x))), the size of
+        J1 near x and at most 0.6, of a 30-digit reference."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.besselj(1, mpmath.mpf(float(x))))
+                            for x in self.X])
+        scale = 2.0 ** -52 * np.minimum(0.6, np.sqrt(2.0 / (math.pi * self.X)))
+        assert np.all(np.abs(_j1(self.X) - ref) <= 32.0 * scale)
+
+    def test_against_scipy(self):
+        """Within scipy's own phase error: its j1 rounds x - 3 pi/4."""
+        bound = (2.0 ** -52 * (1.0 + self.X)
+                 * np.sqrt(2.0 / (math.pi * self.X)))
+        assert np.all(np.abs(_j1(self.X) - special.j1(self.X)) <= bound)
+
+    def test_both_branches_in_one_call(self):
+        """Arguments on both sides of the switch to the Hankel expansion
+        keep their places, and a call's values match calls on each
+        branch alone."""
+        x = np.array([30.0, 3.0, 24.999, 25.0, 0.01, 1e4])
+        near = x < 25.0
+        out = _j1(x)
+        assert np.array_equal(out[near], _j1(x[near]))
+        assert np.array_equal(out[~near], _j1(x[~near]))
+        assert np.allclose(out, special.j1(x), rtol=0.0, atol=1e-13)
+
+    def test_nan_leaves_other_arguments_alone(self):
+        x = np.array([30.0, np.nan, 3.0, 1e4])
+        out = _j1(x)
+        assert np.isnan(out[1])
+        keep = [0, 2, 3]
+        assert np.array_equal(out[keep], _j1(x[keep]))
+
+    def test_huge_argument_needs_one_term(self):
+        """Past about 2.7e16 the first Hankel term alone is exact to
+        2^-56, and the empty Q sum is zero."""
+        x = np.array([1e17, 1e300])
+        with np.errstate(over="raise", invalid="raise"):
+            out = _j1(x)
+        expected = (np.sin(x) - np.cos(x)) / np.sqrt(math.pi * x)
+        assert np.array_equal(out, expected)
 
 
 class TestMollifier:
@@ -195,6 +248,26 @@ class TestShellPoints:
                 assert np.array_equal(_dual_norms(F, W), s[index])
 
 
+class TestShellCache:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cached_shells_are_read_only_shell_points(self, n):
+        for c in range(1, _CACHED_SHELLS + 1):
+            K, Kf, index = _shell(n, c)
+            assert _shell(n, c)[0] is K
+            K0, index0 = _shell_points(n, c)
+            assert np.array_equal(K, K0) and np.array_equal(index, index0)
+            assert Kf.dtype == float and np.array_equal(Kf, K0)
+            for a in (K, Kf, index):
+                assert not a.flags.writeable
+
+    def test_larger_shells_are_not_kept(self):
+        c = _CACHED_SHELLS + 1
+        K, Kf, index = _shell(2, c)
+        assert _shell(2, c)[0] is not K
+        assert K.flags.writeable
+        assert np.array_equal(K, _shell_points(2, c)[0])
+
+
 class TestShellRho:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3, 1.7, 30.0])
@@ -214,7 +287,8 @@ _SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
 # lower and upper sums stopped.  The last triple stops its two radii at
 # different shells and by different rules (its upper margin, about
 # 2.5e-10, is too thin for the margin rule), so each radius's stop is
-# pinned apart.
+# pinned apart.  The n = 2 values come from the numpy J1 and the
+# Nicholson envelope of the fourier module.
 _PINNED_SANDWICH = [
     (_SHEAR3, 2.7, 0.2, (6, 6), SandwichResult(
         holds=True, status="holds", t=2.7, epsilon=0.2,
@@ -230,15 +304,15 @@ _PINNED_SANDWICH = [
         upper_rule="margin")),
     (_SHEAR2, 2.6, 0.25, (4, 4), SandwichResult(
         holds=True, status="holds", t=2.6, epsilon=0.25,
-        shift=0.39536979972681396, count=21, lower=14.44881315391916,
-        upper=28.017681596219344, lower_tail=4.278675613815908,
-        upper_tail=4.987202296891707, cutoff=4, lower_rule="margin",
+        shift=0.39536979972681396, count=21, lower=14.448813153919158,
+        upper=28.01768159621934, lower_tail=4.278675664866004,
+        upper_tail=4.987202314363245, cutoff=4, lower_rule="margin",
         upper_rule="margin")),
     (np.eye(2), 3.7, 0.05, (41, 68), SandwichResult(
         holds=True, status="holds", t=3.7, epsilon=0.05,
-        shift=0.07071067811865477, count=45, lower=44.92340944293091,
-        upper=45.000000000245606, lower_tail=0.06614872589883385,
-        upper_tail=0.00093764929282581, cutoff=68, lower_rule="margin",
+        shift=0.07071067811865477, count=45, lower=44.92340944293089,
+        upper=45.00000000024563, lower_tail=0.06614872589884771,
+        upper_tail=0.0009376492928259289, cutoff=68, lower_rule="margin",
         upper_rule="target")),
 ]
 
@@ -323,6 +397,18 @@ class TestEarlyStop:
 
 
 class TestProvenTail:
+    def test_n2_envelope_bounds_bessel_modulus(self):
+        """env(s) >= sqrt(J1^2 + Y1^2)(2 pi s)/s, both capped at the
+        unit-disc area, on a grid 1e-3 apart over [0.05, 200], and within
+        1e-3 of it from s = 1 on."""
+        s = np.arange(0.05, 200.0, 1e-3)
+        x = 2.0 * math.pi * s
+        modulus = np.minimum(np.hypot(special.j1(x), special.y1(x)) / s,
+                             math.pi)
+        env = np.array([_ball_envelope(2, v) for v in s])
+        assert np.all(env >= modulus)
+        assert np.all(env[s >= 1.0] <= modulus[s >= 1.0] * (1.0 + 1e-3))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_envelope_bounds_transform_beyond(self, n):
         """env(s) >= |hat_chi_ball(n, s')| for every s' >= s on a grid 1e-3
@@ -495,12 +581,19 @@ class TestSandwich:
 
 
 def test_import_leaves_scipy_unloaded():
-    """hat_chi_ball imports scipy.special only when it needs J1: loading
-    scipy costs about 0.2 s and 25 MB, which `import latticeball` should
-    not pay."""
+    """Neither `import latticeball` nor an n = 2 sandwich check and
+    transform load scipy, whose import costs about 0.3 s and 25 MB."""
     src = str(Path(latticeball.__file__).resolve().parents[1])
-    probe = "import sys, latticeball; print('scipy' in sys.modules)"
+    probe = (
+        "import sys, latticeball\n"
+        "from latticeball import fourier\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "b = latticeball.LatticeBasis([[0.9, -0.15], [0.2, 1.1]])\n"
+        "assert fourier.sandwich_check(b, 2.6, 0.25).status == 'holds'\n"
+        "fourier.hat_chi_ball(2, [0.0, 5e-4, 0.3, 7.0, 4e3])\n"
+        "loaded.append('scipy' in sys.modules)\n"
+        "print(loaded)\n")
     done = subprocess.run([sys.executable, "-c", probe], check=True,
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[False, False]"

@@ -441,6 +441,33 @@ class TestHessianBound:
         assert all(b > 0 for b in rep.bound)
         assert rep.max_ratio == max(rep.ratios)
 
+    def test_geometry_built_once_per_check(self, monkeypatch):
+        """One set of trapezoids serves the whole grid, and each value is
+        I_kl's at that t, bit for bit."""
+        s = spec3([1, 2, 1], [2, -1, 1])
+        grid = [4.0, 8.0, 32.0]
+        expected = [abs(I_kl(s, t, points_per_period=10.0)) for t in grid]
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return _trapezoids(spec)
+
+        monkeypatch.setattr(oscillatory, "_trapezoids", counted)
+        rep = hessian_bound_check(s, grid, points_per_period=10.0)
+        assert built == [s]
+        assert list(rep.measured) == expected
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t_refused_before_geometry(self, monkeypatch, t):
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(oscillatory, "_trapezoids", no_rule)
+        s = spec3([1, 2, 1], [2, -1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            hessian_bound_check(s, [8.0, t])
+
     def test_zero_discriminant_guarded(self):
         s = spec3([1, 2, 1], [1, 2, 1], signs=(1, -1))
         with pytest.raises(ValueError):
