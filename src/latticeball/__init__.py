@@ -19,11 +19,9 @@ from .basis import (
     transformed_coords,
 )
 from .counting import (
-    CountResult,
     ball_volume,
     count_many,
     count_points,
-    count_scan,
     error_term,
     unit_ball_volume,
 )

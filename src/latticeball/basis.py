@@ -54,12 +54,15 @@ class LatticeBasis:
         # math.hypot over the rows as Python floats is cheaper than
         # numpy on a 3 x 3.  A NaN or infinite entry makes its column's
         # norm, and so the product, NaN or infinite: a finite product
-        # proves every entry finite, and only a product that overflowed
-        # from finite entries gets past the entry check below
+        # proves every entry finite, and one that overflowed from finite
+        # entries is refused before np.linalg.det overflows with a warning
         volume = math.prod(map(math.hypot, *rows))
-        if not math.isfinite(volume) and not all(
-                map(math.isfinite, itertools.chain.from_iterable(rows))):
-            raise ValueError("matrix entries must be finite")
+        if not math.isfinite(volume):
+            entries = itertools.chain.from_iterable(rows)
+            if not all(map(math.isfinite, entries)):
+                raise ValueError("matrix entries must be finite")
+            raise SingularBasisError("determinant not checkable below "
+                                     "guard: column-norm product overflows")
         arr.setflags(write=False)
         d = float(np.linalg.det(arr))
         if not abs(d) > DET_GUARD * volume:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .basis import LatticeBasis, identity_basis
-from .counting import ball_volume, count_scan
+from .counting import ball_volume, count_many
 from .fourier import hat_chi_ball, sandwich_check
 from .meanvalue import (CalibrationError, check_fit_grid, compute_cn,
                         fit_scaling_exponent, mc_stats, siegel_calibration,
@@ -202,16 +202,12 @@ def _seed(cfg: dict) -> int:
 def _run_count(cfg: dict):
     basis = _config_basis(cfg)
     grid = sorted(_t_grid_from_config(cfg))
-    results = count_scan(basis, grid)
-    rows = [(r.t, r.count, r.volume, r.remainder) for r in results]
-    out = {
-        "n": basis.n,
-        "det": basis.det,
-        "t_grid": [r.t for r in results],
-        "counts": [r.count for r in results],
-        "volumes": [r.volume for r in results],
-        "remainders": [r.remainder for r in results],
-    }
+    counts = count_many([basis], grid)[0].tolist()
+    volumes = [ball_volume(basis.n, t, basis.det) for t in grid]
+    remainders = [c - v for c, v in zip(counts, volumes)]
+    out = dict(n=basis.n, det=basis.det, t_grid=grid, counts=counts,
+               volumes=volumes, remainders=remainders)
+    rows = list(zip(grid, counts, volumes, remainders))
     return out, (("t", "count", "volume", "remainder"), rows)
 
 

@@ -11,10 +11,10 @@ expanded into their integers in one ragged arange (repeat + cumsum);
 rows whose budget goes negative are dropped.  At level 0 the admissible
 integers are a contiguous run, so they are counted in closed form and
 summed per basis with bincount.  The same code serves every dimension,
-and count_points is a batch of one.  A batch is prepared as stacks, one
-per dimension: the volume check against the 64-bit range is one
-reduction over the determinants, and the Gram matrices are one stacked
-product, both run for every dimension before any enumeration starts.
+and count_points is a batch of one.  A batch has one dimension and a
+grid of radii: the 64-bit volume check runs at the largest radius before
+any factoring, the levels above 0 are enumerated once at that radius,
+and level 0 counts each row at every radius of the grid.
 
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
@@ -25,13 +25,15 @@ Membership uses the closed ball with a hair of slack, |X k|^2 <= t^2 *
 (1 + 1e-12), so points sitting exactly on the sphere are kept.  The
 bundled configs rely on this: count_identity.json asks for integer radii
 on Z^3, whose sphere points lie exactly on the boundary and survive
-rounding only through the slack.
+rounding only through the slack.  On a grid, a smaller radius t sees
+the rounding of numbers the size of the largest squared radius: a few
+ulp of t_max^2, which the slack t^2 * 1e-12 covers while t_max / t stays
+below about 50.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,33 +64,35 @@ def ball_volume(n: int, t: float, det: float) -> float:
     return t ** n * unit_ball_volume(n) / abs(det)
 
 
-@dataclass(frozen=True)
-class CountResult:
-    t: float
-    count: int
-    volume: float
-    remainder: float
-
-
-def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
+def _enumerate(R: np.ndarray, budgets: np.ndarray) -> np.ndarray:
     """Points k with |R k|^2 <= budget for every factor in the stack R of
-    upper triangular matrices, shape (B, n, n); int64 counts, shape (B,)."""
+    upper triangular matrices, shape (B, n, n), and every entry of the
+    1-D array budgets; int64 counts, shape (B, len(budgets))."""
     B, n, _ = R.shape
+    top = budgets.max()
+    # the levels above 0 spend the top budget; level 0 takes each row's
+    # remainder less top - budgets[j], which is 0.0 at the top itself
+    gap = (top - budgets)[:, None]
     diag = [R[:, i, i] for i in range(n)]
     cols = [R[:, :i, i] for i in range(n)]
 
     def level(i, b, rem, shift):
         # rows: basis b, unspent budget rem >= 0, shift[:, j] for j <= i
         rii = diag[i][b]
+        if i == 0:
+            # one row of remainders per budget; a negative one has no
+            # points: its NaN width goes to 0 in fmax
+            rem = rem - gap
         s = np.sqrt(rem)
         lo = np.ceil((-shift[:, i] - s) / rii)
         hi = np.floor((-shift[:, i] + s) / rii)
-        width = np.maximum(hi - lo + 1.0, 0.0)
+        width = np.fmax(hi - lo + 1.0, 0.0)
         if i == 0:
-            return np.bincount(b, weights=width, minlength=B).astype(np.int64)
+            return np.array([np.bincount(b, weights=w, minlength=B)
+                             for w in width], dtype=np.int64)
         width = width.astype(np.int64)
         start = np.cumsum(width) - width
-        total = np.zeros(B, dtype=np.int64)
+        total = np.zeros((budgets.size, B), dtype=np.int64)
         # parents whose children start in the same ROW_CAP window share a
         # pass, so a pass holds at most ROW_CAP plus one parent's children
         cuts = np.flatnonzero(np.diff(start // ROW_CAP, prepend=-1))
@@ -106,35 +110,39 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
             total += level(i - 1, b_k, rem_k[keep], shift_k)
         return total
 
-    return level(n - 1, np.arange(B), np.full(B, budget), np.zeros((B, n)))
+    with np.errstate(invalid="ignore"):
+        return level(n - 1, np.arange(B), np.full(B, top),
+                     np.zeros((B, n))).T
 
 
-def count_many(bases, t: float) -> np.ndarray:
+def count_many(bases, t) -> np.ndarray:
     """Number of lattice points X k with |X k| <= t (closed ball) for each
-    basis, in the order given, as int64.  Bases of different dimensions
-    may be mixed; each dimension is enumerated as one batch, after every
-    basis has passed the 64-bit overflow check."""
-    if t < 0 or not math.isfinite(t):
+    basis, in the order given, and each radius of t (a number or an array
+    of radii in any order), as int64 of shape (len(bases),) + np.shape(t).
+    Every basis must have the same dimension."""
+    radii = np.asarray(t, dtype=float)
+    flat = radii.ravel()
+    ts = flat.tolist()
+    if not ts:
+        raise ValueError("need at least one radius")
+    if not all(0.0 <= r < math.inf for r in ts):
         raise ValueError("radius must be finite and nonnegative")
+    t_max = max(ts)
     bases = list(bases)
-    counts = np.ones(len(bases), dtype=np.int64)
-    if t == 0:
-        return counts
-    batches = []
-    for n in sorted({X.n for X in bases}):
-        members = [j for j, X in enumerate(bases) if X.n == n]
-        # the volume falls as |det| grows, in floats too (division rounds
-        # monotonically), so the smallest |det| gives the largest volume
-        smallest = min(abs(bases[j].det) for j in members)
-        if t ** n * unit_ball_volume(n) / smallest > _COUNT_LIMIT:
-            raise OverflowError("count would exceed the 64-bit range")
-        batches.append((members,
-                        np.stack([bases[j].entries for j in members])))
-    budget = t * t * (1.0 + MEMBERSHIP_SLACK)
-    for members, entries in batches:
-        R = np.linalg.cholesky(gram(entries)).transpose(0, 2, 1)
-        counts[members] = _enumerate(R, budget)
-    return counts
+    shape = (len(bases),) + radii.shape
+    if not bases:
+        return np.ones(shape, dtype=np.int64)
+    n = bases[0].n
+    if any(X.n != n for X in bases):
+        raise ValueError("count_many needs bases of one dimension")
+    # the volume falls as |det| grows, so the smallest |det| bounds the
+    # largest count; compared as a radius, t_max ** n cannot overflow
+    smallest = min(abs(X.det) for X in bases)
+    if t_max > (_COUNT_LIMIT * smallest / unit_ball_volume(n)) ** (1.0 / n):
+        raise OverflowError("count would exceed the 64-bit range")
+    R = np.linalg.cholesky(gram(np.stack([X.entries for X in bases])))
+    budgets = flat * flat * (1.0 + MEMBERSHIP_SLACK)
+    return _enumerate(R.transpose(0, 2, 1), budgets).reshape(shape)
 
 
 def count_points(basis: LatticeBasis, t: float) -> int:
@@ -145,18 +153,3 @@ def count_points(basis: LatticeBasis, t: float) -> int:
 def error_term(basis: LatticeBasis, t: float) -> float:
     """Count minus volume, the remainder under study."""
     return count_points(basis, t) - ball_volume(basis.n, t, basis.det)
-
-
-def count_scan(basis: LatticeBasis, t_grid) -> list[CountResult]:
-    ts = [float(t) for t in t_grid]
-    if not ts:
-        raise ValueError("t_grid must be nonempty")
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be nondecreasing")
-    out = []
-    for t in ts:
-        c = count_points(basis, t)
-        v = ball_volume(basis.n, t, basis.det)
-        out.append(CountResult(t=t, count=c, volume=v, remainder=c - v))
-    return out
-

@@ -45,7 +45,6 @@ into four running sums per component and rotated at the end.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -53,8 +52,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import transformed_coords
-
-logger = logging.getLogger(__name__)
 
 
 class ResolutionError(RuntimeError):
@@ -547,17 +544,13 @@ class VdcReport:
     total_variation: float
 
 
-def _eval_on(f, x: np.ndarray) -> np.ndarray:
-    """f on every point of x: one vectorized call, or point by point when
-    that call raises or returns the wrong shape."""
-    try:
-        vals = np.asarray(f(x), dtype=float)
-        if vals.shape == x.shape:
-            return vals
-    except Exception as exc:
-        logger.warning("vectorized call of %r raised %s; evaluating "
-                       "%d points one by one", f, type(exc).__name__, x.size)
-    return np.array([float(f(v)) for v in x])
+def _values(f, x: np.ndarray) -> np.ndarray:
+    """f on every point of x, in one vectorized call."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != x.shape:
+        raise ValueError(f"{f!r} returned shape {vals.shape} on points of "
+                         f"shape {x.shape}")
+    return vals
 
 
 # points of the sample grid on which vdc_check verifies its phase
@@ -570,7 +563,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     phi must have a monotone derivative bounded below by c0 > 0; both
     conditions are verified on _VDC_GRID_POINTS equally spaced points and
     violations raise ValueError.  Note the phase convention: e^{i t phi},
-    no 2 pi.
+    no 2 pi.  phi and psi0 are called on numpy arrays of points and must
+    return one value per point.
     """
     if not (b > a):
         raise ValueError("need b > a")
@@ -578,8 +572,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
     x = np.linspace(a, b, _VDC_GRID_POINTS)
-    phv = _eval_on(phi, x)
-    psv = _eval_on(psi0, x)
+    phv = _values(phi, x)
+    psv = _values(psi0, x)
     h = x[1] - x[0]
     dphi = np.diff(phv) / h
     c0 = float(np.min(dphi))
@@ -604,8 +598,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
         half = (edges[1] - edges[0]) / 2.0
         xx = (centers[:, None] + half * nodes[None, :]).ravel()
         ww = np.broadcast_to(half * wts, (panels, _VDC_ORDER)).ravel()
-        pv = _eval_on(phi, xx)
-        sv = _eval_on(psi0, xx)
+        pv = _values(phi, xx)
+        sv = _values(psi0, xx)
         val = np.sum(ww * sv * (np.cos(t * pv) + 1j * np.sin(t * pv)))
         m = abs(complex(val))
         env = (end + tv) / (c0 * t)

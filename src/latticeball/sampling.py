@@ -143,6 +143,13 @@ class CompactFamilySpec:
             raise ValueError("delta must be positive")
         if not (self.det_floor > 0):
             raise ValueError("det_floor must be positive")
+        # Hadamard: |det| is at most the product of the column norms, and
+        # every entry of a draw lies within delta of the center's
+        bound = math.prod(np.linalg.norm(np.abs(arr) + self.delta, axis=0))
+        if self.det_floor > bound:
+            raise ValueError(f"det_floor {self.det_floor} is above "
+                             f"{bound:.6g}, the largest |det| a draw can "
+                             f"reach")
         arr.setflags(write=False)
         object.__setattr__(self, "center", arr)
 

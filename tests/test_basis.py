@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,11 +79,14 @@ class TestLatticeBasis:
 
     def test_overflowing_column_norms_are_finite_entries(self):
         """Finite entries whose column-norm product overflows pass the
-        entry check and meet the singularity guard."""
+        entry check and are refused by the singularity guard, without a
+        numpy warning."""
         big = np.array([[1e200, 0.0], [0.0, 1e200]])
-        with np.errstate(over="ignore"), \
-                pytest.raises(SingularBasisError, match="below guard"):
-            LatticeBasis(big)
+        with warnings.catch_warnings():
+            # refused before np.linalg.det, which would warn of overflow
+            warnings.simplefilter("error")
+            with pytest.raises(SingularBasisError, match="below guard"):
+                LatticeBasis(big)
 
     def test_scaled(self):
         b = identity_basis(2).scaled(3.0)

@@ -1,6 +1,11 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,6 +112,26 @@ class TestCount:
         assert run(tmp_path, "count",
                    {"basis": "identity", "n": 2}) == CONFIG
 
+    @pytest.mark.parametrize("cfg, code, message", [
+        ({"basis": "identity", "n": 3, "t": 1e200}, CONFIG,
+         "config error: count would exceed the 64-bit range"),
+        ({"basis": {"n": 2, "columns": [[1e200, 0], [0, 1e200]]}, "t": 1},
+         USAGE, "input error: malformed basis"),
+    ], ids=["radius", "basis"])
+    def test_overflow_is_one_stderr_line(self, tmp_path, cfg, code, message):
+        """A radius or a basis too large for floats exits with one error
+        line on stderr, and no numpy warning before it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "latticeball.cli", "count", "--config",
+             str(path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == code
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), lines
+
 
 class TestTheorem1:
     def test_smoke_run_schema(self, tmp_path):
@@ -172,6 +197,15 @@ class TestTheorem1:
         assert run(tmp_path, "theorem1", dict(_THEOREM1, band=[0.8, 0.3])) == (
             CONFIG)
         assert "band" in capsys.readouterr().err
+
+    def test_unreachable_det_floor_refused_at_once(self, tmp_path, capsys):
+        """A floor above the Hadamard bound of the family's box exits 3
+        before any draw, instead of after 1e6 rejections."""
+        cfg = dict(_THEOREM1, n=3, family={"delta": 0.1, "det_floor": 5})
+        start = time.perf_counter()
+        assert run(tmp_path, "theorem1", cfg) == CONFIG
+        assert time.perf_counter() - start < 1.0
+        assert "det_floor" in capsys.readouterr().err
 
     def test_bad_family_rejected(self, tmp_path):
         cfg = {"n": 3, "t_grid": [4, 6, 9], "samples": 2,
@@ -355,7 +389,7 @@ class TestConfigKeys:
             raise AssertionError(f"{command} ran")
 
         monkeypatch.setattr(cli, "mc_stats", no_count)
-        monkeypatch.setattr(cli, "count_scan", no_count)
+        monkeypatch.setattr(cli, "count_many", no_count)
         monkeypatch.setattr(cli, "sandwich_check", no_count)
         assert run(tmp_path, command, cfg) == USAGE
         assert key in capsys.readouterr().err

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticeball import counting
 from latticeball.basis import LatticeBasis, gram, identity_basis
-from latticeball.cli import _write_csv
+from latticeball.cli import _run_count, _write_csv
 from latticeball.counting import (
-    CountResult,
     ball_volume,
     count_many,
     count_points,
-    count_scan,
     error_term,
     unit_ball_volume,
 )
@@ -100,40 +100,49 @@ class TestErrorTerm:
 
 
 class TestCountScan:
+    """A radius scan is one count_many call over the grid."""
+
     def test_z2_small_grid(self):
-        results = count_scan(identity_basis(2), [0.0, 1.0, 2.0])
-        assert [r.count for r in results] == [1, 5, 13]
+        assert list(count_many([identity_basis(2)], [0.0, 1.0, 2.0])[0]) \
+            == [1, 5, 13]
 
     def test_repeated_radius_idempotent(self):
-        r1, r2 = count_scan(identity_basis(3), [1.0, 1.0])
-        assert r1 == r2
+        assert list(count_many([identity_basis(3)], [1.0, 1.0])[0]) == [7, 7]
 
     def test_scaling_pair(self, rng):
         X = random_basis(rng, 2)
         r = 1.7
-        scaled = count_scan(X.scaled(r), [3.0])[0]
-        plain = count_scan(X, [3.0 / r])[0]
-        assert scaled.count == plain.count
+        assert np.array_equal(count_many([X.scaled(r)], [3.0]),
+                              count_many([X], [3.0 / r]))
 
     def test_remainder_is_exact_difference(self, rng):
-        for res in count_scan(random_basis(rng, 3), [1.0, 2.0, 3.0]):
-            assert res.remainder == res.count - res.volume
-            assert res.count >= 1
+        X = random_basis(rng, 3)
+        out, _ = _run_count({"basis": {"n": 3,
+                                       "columns": X.entries.T.tolist()},
+                             "t_grid": [1.0, 2.0, 3.0]})
+        for c, v, rem in zip(out["counts"], out["volumes"],
+                             out["remainders"]):
+            assert rem == c - v
+            assert c >= 1
 
-    def test_decreasing_grid_rejected(self):
-        with pytest.raises(ValueError):
-            count_scan(identity_basis(2), [2.0, 1.0])
+    def test_decreasing_grid_counted_in_order(self):
+        grid = [3.0, 2.0, 1.0, 0.0, 2.0]
+        assert list(count_many([identity_basis(3)], grid)[0]) == [
+            count_points(identity_basis(3), t) for t in grid]
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            count_scan(identity_basis(2), [])
+        with pytest.raises(ValueError, match="radius"):
+            count_many([identity_basis(2)], [])
 
 
 class TestCsvEmission:
     def test_schema_and_precision(self, tmp_path):
         path = tmp_path / "scan.csv"
-        rows = [(r.t, r.count, r.volume, r.remainder)
-                for r in count_scan(identity_basis(3), [1.0, 2.0])]
+        X = identity_basis(3)
+        grid = [1.0, 2.0]
+        counts = count_many([X], grid)[0]
+        volumes = [ball_volume(3, t, X.det) for t in grid]
+        rows = [(t, c, v, c - v) for t, c, v in zip(grid, counts, volumes)]
         _write_csv(path, ("t", "count", "volume", "remainder"), rows)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,count,volume,remainder"
@@ -190,40 +199,54 @@ class TestCountMany:
 
     def test_radii_on_lattice_norms(self):
         # integer t on Z^3 puts lattice points exactly on the sphere
-        bases = [identity_basis(3), identity_basis(2)]
-        for t in range(1, 9):
-            self._check(bases, float(t))
+        for n in (3, 2):
+            for t in range(1, 9):
+                self._check([identity_basis(n)], float(t))
 
     def test_mixed_dimensions(self, rng):
         bases = [random_basis(rng, 2 + (j % 3 == 0)) for j in range(20)]
-        self._check(bases, 2.5)
+        for n in (2, 3):
+            self._check([X for X in bases if X.n == n], 2.5)
+
+    def test_mixed_dimensions_refused(self):
+        with pytest.raises(ValueError, match="dimension"):
+            count_many([identity_basis(2), identity_basis(3)], 1.0)
 
     def test_batch_crossing_row_cap(self, rng, monkeypatch):
-        bases = [random_basis(rng, n) for n in (2, 3, 3, 2, 3)]
-        bases.append(identity_basis(3))
-        expected = [count_points(X, 4.0) for X in bases]
-        monkeypatch.setattr(counting, "ROW_CAP", 7)
-        assert list(count_many(bases, 4.0)) == expected
+        for n, size in ((2, 4), (3, 5)):
+            bases = [random_basis(rng, n) for _ in range(size)]
+            bases.append(identity_basis(n))
+            grid = [4.0, 1.5, 0.0, 3.0]
+            expected = [[count_points(X, t) for t in grid] for X in bases]
+            monkeypatch.setattr(counting, "ROW_CAP", 7)
+            assert count_many(bases, grid).tolist() == expected
+            monkeypatch.undo()
 
     def test_empty_batch(self):
         assert count_many([], 3.0).shape == (0,)
+        assert count_many([], [1.0, 2.0]).shape == (0, 2)
 
     def test_overflow_guard_inside_batch(self):
         tiny = LatticeBasis(1e-10 * np.eye(3))
         with pytest.raises(OverflowError):
-            count_many([identity_basis(3), tiny, identity_basis(2)], 10.0)
+            count_many([identity_basis(3), tiny, identity_basis(3)], 10.0)
 
     def test_overflow_refused_before_any_enumeration(self, monkeypatch):
-        # the hopeless basis is 3-D and the block's first dimension 2, so
-        # a check interleaved with the per-dimension passes would count
-        # the 2-D bases first
-        def enumerate_fails(R, budget):
-            raise AssertionError("enumerated before the overflow check")
+        # only the largest radius overflows, and the check on it comes
+        # before the Gram matrices and any enumeration
+        def fails(*args):
+            raise AssertionError("factored before the overflow check")
 
-        monkeypatch.setattr(counting, "_enumerate", enumerate_fails)
+        monkeypatch.setattr(counting, "gram", fails)
+        monkeypatch.setattr(counting, "_enumerate", fails)
         tiny = LatticeBasis(1e-10 * np.eye(3))
-        with pytest.raises(OverflowError):
-            count_many([identity_basis(2), identity_basis(3), tiny], 10.0)
+        with pytest.raises(OverflowError, match="64-bit"):
+            count_many([identity_basis(3), tiny], [1.0, 10.0, 2.0])
+
+    def test_radius_beyond_float_power_refused(self):
+        # t ** 3 itself overflows a float here
+        with pytest.raises(OverflowError, match="64-bit"):
+            count_many([identity_basis(3)], [1.0, 1e200])
 
     def test_stacked_gram_is_per_basis_gram(self, rng):
         blocks = [[sample_haar_unimodular(HaarSamplerConfig(n=n), Seed(8, i))
@@ -237,3 +260,62 @@ class TestCountMany:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             count_many([identity_basis(2)], -1.0)
+        with pytest.raises(ValueError):
+            count_many([identity_basis(2)], [1.0, -1.0])
+        with pytest.raises(ValueError):
+            count_many([identity_basis(2)], [1.0, math.nan])
+
+
+class TestRadiusGrid:
+    """One enumeration for a grid of radii against one per radius."""
+
+    @staticmethod
+    def _per_radius(bases, grid):
+        grid = np.asarray(grid, dtype=float)
+        flat = [count_many(bases, float(t)) for t in grid.ravel()]
+        return np.stack(flat, axis=-1).reshape((len(bases),) + grid.shape)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           scale=st.sampled_from([None, 0.5, 1.0, 3.0]),
+           radii=st.lists(st.one_of(
+               st.just(0.0),
+               st.integers(1, 16).map(math.sqrt),
+               st.floats(0.25, 4.0)), min_size=1, max_size=8),
+           shape=st.sampled_from(["scalar", "flat", "square"]))
+    def test_grid_equals_per_radius(self, seed, n, scale, radii, shape):
+        """Unsorted, repeated and zero radii, on random bases and on
+        scaled Z^n, whose sphere points sit on exact-norm radii."""
+        if scale is None:
+            rng = np.random.default_rng(seed)
+            bases = [random_basis(rng, n) for _ in range(4)]
+        else:
+            bases = [LatticeBasis(scale * np.eye(n))]
+            radii = [scale * t for t in radii]
+        if shape == "scalar":
+            grid = radii[0]
+        elif shape == "flat":
+            grid = radii
+        else:
+            grid = np.resize(radii, (2, 3))
+        counts = count_many(bases, grid)
+        assert counts.dtype == np.int64
+        assert counts.shape == (len(bases),) + np.shape(grid)
+        assert np.array_equal(counts, self._per_radius(bases, grid))
+
+    def test_haar_bases(self):
+        config = HaarSamplerConfig(n=3)
+        bases = [sample_haar_unimodular(config, Seed(31, i))
+                 for i in range(2000)]
+        grid = np.random.default_rng(5).permutation(np.linspace(0.5, 8, 16))
+        assert np.array_equal(count_many(bases, grid),
+                              self._per_radius(bases, grid))
+
+    def test_exact_norm_radii(self):
+        radii = np.sqrt(np.arange(65.0))[::-1]
+        for scale in (1.0, 0.5, 3.0):
+            for n in (2, 3):
+                bases = [LatticeBasis(scale * np.eye(n))]
+                grid = scale * radii
+                assert np.array_equal(count_many(bases, grid),
+                                      self._per_radius(bases, grid))

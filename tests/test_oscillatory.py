@@ -1,5 +1,4 @@
 import dataclasses
-import logging
 import math
 import tracemalloc
 
@@ -12,7 +11,6 @@ from latticeball.oscillatory import (
     I_kl,
     OscillatorySpec,
     ResolutionError,
-    _eval_on,
     _leggauss,
     _panels,
     _pushforward_value,
@@ -531,27 +529,17 @@ class TestVdc:
             vdc_check(lambda x: -x, lambda x: np.ones_like(x),
                       0.0, 1.0, [5.0])
 
-    def test_scalar_only_callable_logs_fallback(self, caplog):
-        x = np.linspace(0.0, 1.0, 5)
-        with caplog.at_level(logging.WARNING,
-                             logger="latticeball.oscillatory"):
-            assert np.array_equal(_eval_on(lambda v: 2.0 * v, x), 2.0 * x)
-            assert not caplog.records
-            # float() of a 5-point array raises TypeError
-            vals = _eval_on(lambda v: 2.0 * float(v), x)
-        assert np.array_equal(vals, 2.0 * x)
-        assert len(caplog.records) == 1
-        assert "TypeError" in caplog.records[0].getMessage()
+    def test_raising_callable_propagates(self):
+        def scalar_only(x):
+            return 2.0 * float(x)  # float() of an array raises TypeError
 
-    def test_scalar_only_phase_same_report(self, caplog):
-        with caplog.at_level(logging.WARNING,
-                             logger="latticeball.oscillatory"):
-            rep = vdc_check(lambda x: float(x), lambda x: np.ones_like(x),
-                            0.0, 1.0, [5.0, 50.0])
-        assert rep == vdc_check(lambda x: x, lambda x: np.ones_like(x),
-                                0.0, 1.0, [5.0, 50.0])
-        assert caplog.records
-        assert all("TypeError" in r.getMessage() for r in caplog.records)
+        with pytest.raises(TypeError):
+            vdc_check(scalar_only, lambda x: np.ones_like(x), 0.0, 1.0,
+                      [5.0])
+
+    def test_wrong_shape_refused(self):
+        with pytest.raises(ValueError, match="shape"):
+            vdc_check(lambda x: x, lambda x: 1.0, 0.0, 1.0, [5.0])
 
     def test_report_serializes(self):
         rep = vdc_check(lambda x: x, lambda x: np.ones_like(x),

@@ -111,6 +111,20 @@ class TestSampleCompact:
             assert np.max(np.abs(X.entries - np.eye(3))) <= 0.1
             assert abs(X.det) >= 0.5
 
+    def test_det_floor_above_hadamard_bound_refused(self):
+        # columns (1.1, 0.1) and (-0.1, 1.1) of the box are orthogonal, so
+        # the largest |det| is the bound 1.1^2 + 0.1^2 itself
+        bound = 1.1 ** 2 + 0.1 ** 2
+        with pytest.raises(ValueError, match="det_floor"):
+            CompactFamilySpec(center=np.eye(2), delta=0.1,
+                              det_floor=bound * (1.0 + 1e-9))
+        CompactFamilySpec(center=np.eye(2), delta=0.1,
+                          det_floor=bound * (1.0 - 1e-9))
+        spec = CompactFamilySpec(center=np.eye(2), delta=0.1,
+                                 det_floor=0.99 * bound)
+        for i in range(2):
+            assert abs(sample_compact(spec, Seed(6, i)).det) >= 0.99 * bound
+
     def test_seed_determinism(self):
         spec = CompactFamilySpec(center=np.eye(2), delta=0.2, det_floor=0.3)
         a = sample_compact(spec, Seed(3, 14))
