@@ -12,9 +12,10 @@ rows whose budget goes negative are dropped.  At level 0 the admissible
 integers are a contiguous run, so they are counted in closed form and
 summed per basis with bincount.  The same code serves every dimension,
 and count_points is a batch of one.  A batch has one dimension and a
-grid of radii: the 64-bit volume check runs at the largest radius before
-any factoring, the levels above 0 are enumerated once at that radius,
-and level 0 counts each row at every radius of the grid.
+radius or a grid of radii: the 64-bit volume check runs at the largest
+radius and the Gram matrices are factored once, before any enumeration;
+each radius is then one enumeration of its own, so a grid counts exactly
+as its radii do one by one.
 
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
@@ -25,10 +26,7 @@ Membership uses the closed ball with a hair of slack, |X k|^2 <= t^2 *
 (1 + 1e-12), so points sitting exactly on the sphere are kept.  The
 bundled configs rely on this: count_identity.json asks for integer radii
 on Z^3, whose sphere points lie exactly on the boundary and survive
-rounding only through the slack.  On a grid, a smaller radius t sees
-the rounding of numbers the size of the largest squared radius: a few
-ulp of t_max^2, which the slack t^2 * 1e-12 covers while t_max / t stays
-below about 50.
+rounding only through the slack.
 """
 
 from __future__ import annotations
@@ -64,35 +62,25 @@ def ball_volume(n: int, t: float, det: float) -> float:
     return t ** n * unit_ball_volume(n) / abs(det)
 
 
-def _enumerate(R: np.ndarray, budgets: np.ndarray) -> np.ndarray:
+def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
     """Points k with |R k|^2 <= budget for every factor in the stack R of
-    upper triangular matrices, shape (B, n, n), and every entry of the
-    1-D array budgets; int64 counts, shape (B, len(budgets))."""
+    upper triangular matrices, shape (B, n, n); int64 counts, shape (B,)."""
     B, n, _ = R.shape
-    top = budgets.max()
-    # the levels above 0 spend the top budget; level 0 takes each row's
-    # remainder less top - budgets[j], which is 0.0 at the top itself
-    gap = (top - budgets)[:, None]
     diag = [R[:, i, i] for i in range(n)]
     cols = [R[:, :i, i] for i in range(n)]
 
     def level(i, b, rem, shift):
         # rows: basis b, unspent budget rem >= 0, shift[:, j] for j <= i
         rii = diag[i][b]
-        if i == 0:
-            # one row of remainders per budget; a negative one has no
-            # points: its NaN width goes to 0 in fmax
-            rem = rem - gap
         s = np.sqrt(rem)
         lo = np.ceil((-shift[:, i] - s) / rii)
         hi = np.floor((-shift[:, i] + s) / rii)
-        width = np.fmax(hi - lo + 1.0, 0.0)
+        width = np.maximum(hi - lo + 1.0, 0.0)
         if i == 0:
-            return np.array([np.bincount(b, weights=w, minlength=B)
-                             for w in width], dtype=np.int64)
+            return np.bincount(b, weights=width, minlength=B).astype(np.int64)
         width = width.astype(np.int64)
         start = np.cumsum(width) - width
-        total = np.zeros((budgets.size, B), dtype=np.int64)
+        total = np.zeros(B, dtype=np.int64)
         # parents whose children start in the same ROW_CAP window share a
         # pass, so a pass holds at most ROW_CAP plus one parent's children
         cuts = np.flatnonzero(np.diff(start // ROW_CAP, prepend=-1))
@@ -110,9 +98,7 @@ def _enumerate(R: np.ndarray, budgets: np.ndarray) -> np.ndarray:
             total += level(i - 1, b_k, rem_k[keep], shift_k)
         return total
 
-    with np.errstate(invalid="ignore"):
-        return level(n - 1, np.arange(B), np.full(B, top),
-                     np.zeros((B, n))).T
+    return level(n - 1, np.arange(B), np.full(B, budget), np.zeros((B, n)))
 
 
 def count_many(bases, t) -> np.ndarray:
@@ -121,13 +107,11 @@ def count_many(bases, t) -> np.ndarray:
     of radii in any order), as int64 of shape (len(bases),) + np.shape(t).
     Every basis must have the same dimension."""
     radii = np.asarray(t, dtype=float)
-    flat = radii.ravel()
-    ts = flat.tolist()
+    ts = radii.ravel().tolist()
     if not ts:
         raise ValueError("need at least one radius")
     if not all(0.0 <= r < math.inf for r in ts):
         raise ValueError("radius must be finite and nonnegative")
-    t_max = max(ts)
     bases = list(bases)
     shape = (len(bases),) + radii.shape
     if not bases:
@@ -136,13 +120,18 @@ def count_many(bases, t) -> np.ndarray:
     if any(X.n != n for X in bases):
         raise ValueError("count_many needs bases of one dimension")
     # the volume falls as |det| grows, so the smallest |det| bounds the
-    # largest count; compared as a radius, t_max ** n cannot overflow
+    # largest count; compared as a radius, t ** n cannot overflow
     smallest = min(abs(X.det) for X in bases)
-    if t_max > (_COUNT_LIMIT * smallest / unit_ball_volume(n)) ** (1.0 / n):
+    if max(ts) > (_COUNT_LIMIT * smallest / unit_ball_volume(n)) ** (1.0 / n):
         raise OverflowError("count would exceed the 64-bit range")
     R = np.linalg.cholesky(gram(np.stack([X.entries for X in bases])))
-    budgets = flat * flat * (1.0 + MEMBERSHIP_SLACK)
-    return _enumerate(R.transpose(0, 2, 1), budgets).reshape(shape)
+    R = R.transpose(0, 2, 1)
+    # one enumeration per radius, each with the scalar budget and the
+    # flat memory of a single count
+    counts = np.empty((len(bases), len(ts)), dtype=np.int64)
+    for j, r in enumerate(ts):
+        counts[:, j] = _enumerate(R, r * r * (1.0 + MEMBERSHIP_SLACK))
+    return counts.reshape(shape)
 
 
 def count_points(basis: LatticeBasis, t: float) -> int:

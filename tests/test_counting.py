@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,8 +267,16 @@ class TestCountMany:
             count_many([identity_basis(2)], [1.0, math.nan])
 
 
+def _ball_count_zn(n, m):
+    """#{k in Z^n : |k|^2 <= m} for an integer m, in exact integers."""
+    if n == 1:
+        return 2 * math.isqrt(m) + 1
+    r = math.isqrt(m)
+    return sum(_ball_count_zn(n - 1, m - a * a) for a in range(-r, r + 1))
+
+
 class TestRadiusGrid:
-    """One enumeration for a grid of radii against one per radius."""
+    """A grid of radii in one call against one call per radius."""
 
     @staticmethod
     def _per_radius(bases, grid):
@@ -319,3 +328,24 @@ class TestRadiusGrid:
                 grid = scale * radii
                 assert np.array_equal(count_many(bases, grid),
                                       self._per_radius(bases, grid))
+
+    def test_wide_grid_exact(self):
+        """Radii 100 to 1000 times smaller than the largest, each with
+        sphere points on it, against exact integer counts."""
+        for scale, n, top in ((0.7, 2, 300), (0.1, 2, 1000), (0.7, 3, 100)):
+            m = [*range(101), top * top]
+            counts = count_many([LatticeBasis(scale * np.eye(n))],
+                                scale * np.sqrt(m))
+            assert counts[0].tolist() == [_ball_count_zn(n, k) for k in m]
+
+    def test_long_grid_memory_flat(self):
+        """A long grid takes about the memory of one radius."""
+        grid = np.linspace(0.0, 200.0, 500)
+        tracemalloc.start()
+        try:
+            counts = count_many([identity_basis(2)], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert counts[0, -1] == _ball_count_zn(2, 200 * 200)
