@@ -19,8 +19,8 @@ as its radii do one by one.
 
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
-children), so memory stays flat however many bases or however large a
-radius is asked for.
+children), so memory stays flat however many bases, however many radii
+or however large a radius is asked for.
 
 Membership uses the closed ball with a hair of slack, |X k|^2 <= t^2 *
 (1 + 1e-12), so points sitting exactly on the sphere are kept.  The
