@@ -10,12 +10,10 @@ summation, oscillatory integrals) that explain the observed scaling.
 __version__ = "0.1.0"
 
 from .basis import (
-    IwasawaForm,
     LatticeBasis,
     SingularBasisError,
     gram,
     identity_basis,
-    iwasawa_decompose,
     transformed_coords,
 )
 from .counting import (
@@ -52,9 +50,7 @@ from .oscillatory import (
     I_kl,
     discriminant,
     hessian_bound_check,
-    phase,
     vdc_check,
-    weight,
 )
 from .sampling import (
     CompactFamilySpec,

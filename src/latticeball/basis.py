@@ -1,17 +1,15 @@
-"""Lattice bases and their multiplicative coordinates.
+"""Lattice bases and unipotent-transformed frequency coordinates.
 
 A basis is a real invertible matrix whose columns generate the lattice.
-Everything downstream (counting, Fourier sums, oscillatory phases) works
-through the objects defined here: Gram matrices, the orthogonal-diagonal-
-unipotent factorization X = K A N, and the unipotent-transformed
-frequency coordinates that the oscillatory phases are written in.
+Counting and the Fourier sums work through its Gram matrix, and the
+oscillatory phases through the coordinates N^{-T} k of a frequency k,
+for a unit upper triangular N.
 
 Conventions, fixed once here so every module agrees:
 
 * columns of ``entries`` are the generators;
-* A is positive diagonal with ``A[i, i] = 1 / sqrt(a[i])``;
-* N is unit upper triangular, its strict upper entries packed row-major
-  into ``eta`` (for n = 3: eta = (N12, N13, N23)).
+* N's strict upper entries are packed row-major into ``eta``
+  (for n = 3: eta = (N12, N13, N23)).
 """
 
 from __future__ import annotations
@@ -104,77 +102,29 @@ def gram(basis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Iwasawa factorization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IwasawaForm:
-    """X = K A N with K orthogonal, A = diag(1/sqrt(a)), N unit upper."""
-
-    K: np.ndarray
-    a: np.ndarray
-    eta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.K.shape[0]
-
-    def A_matrix(self) -> np.ndarray:
-        return np.diag(1.0 / np.sqrt(self.a))
-
-    def N_matrix(self) -> np.ndarray:
-        return eta_to_unipotent(self.eta)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.K @ self.A_matrix() @ self.N_matrix()
-
-
-def eta_to_unipotent(eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float).ravel()
-    L = eta.size
-    n = int(round((1 + math.sqrt(1 + 8 * L)) / 2))
-    if n * (n - 1) // 2 != L:
-        raise ValueError(f"eta length {L} is not n(n-1)/2 for any integer n")
-    N = np.eye(n)
-    N[np.triu_indices(n, 1)] = eta
-    return N
-
-
-def unipotent_to_eta(N: np.ndarray) -> np.ndarray:
-    return N[np.triu_indices(N.shape[0], 1)]
-
-
-def iwasawa_decompose(basis: LatticeBasis) -> IwasawaForm:
-    """Factor the basis by QR, with the signs of Q's columns and R's rows
-    flipped so that R has a positive diagonal."""
-    Q, R = np.linalg.qr(basis.entries)
-    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-    Q = Q * signs
-    R = R * signs[:, None]
-    d = np.diag(R)
-    return IwasawaForm(K=Q, a=1.0 / d ** 2,
-                       eta=unipotent_to_eta(R / d[:, None]))
-
-
-# ---------------------------------------------------------------------------
 # Transformed coordinates
 # ---------------------------------------------------------------------------
 
 
 def transformed_coords(eta, k) -> np.ndarray:
-    """Coordinates (N^{-T}) k by forward substitution.
+    """Coordinates (N^{-T}) k by forward substitution, N the unit upper
+    triangular matrix whose strict upper entries ``eta`` packs row-major.
 
     For n = 3 this is (k1, k2 - eta1 k1,
     (eta1 eta3 - eta2) k1 - eta3 k2 + k3).
     """
-    N = eta_to_unipotent(eta)
-    n = N.shape[0]
     k = np.asarray(k, dtype=float)
-    if k.shape != (n,):
-        raise ValueError(f"expected vector of length {n}, got shape {k.shape}")
+    if k.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {k.shape}")
+    n = len(k)
+    eta = np.asarray(eta, dtype=float).ravel()
+    if eta.size != n * (n - 1) // 2:
+        raise ValueError(f"eta length {eta.size} is not n(n-1)/2 "
+                         f"for n = {n}")
     out = np.zeros(n)
     for i in range(n):
-        out[i] = k[i] - sum(N[j, i] * out[j] for j in range(i))
+        # row j of the packing starts at j (2n - j - 1) / 2, so N[j, i]
+        # is eta[j (2n - j - 3) / 2 + i - 1]
+        out[i] = k[i] - sum(eta[j * (2 * n - j - 3) // 2 + i - 1] * out[j]
+                            for j in range(i))
     return out
-

@@ -26,7 +26,10 @@ Membership uses the closed ball with a hair of slack, |X k|^2 <= t^2 *
 (1 + 1e-12), so points sitting exactly on the sphere are kept.  The
 bundled configs rely on this: count_identity.json asks for integer radii
 on Z^3, whose sphere points lie exactly on the boundary and survive
-rounding only through the slack.
+rounding only through the slack.  Known to be wrong: the slack also
+keeps points strictly outside the ball, up to |X k| of about
+t (1 + 5e-13).  count_points(Z^3, 1 - 1e-13) returns 7 where the count
+is 1, and count_points(Z^3, 3 - 1e-13) returns 123 where it is 93.
 """
 
 from __future__ import annotations

@@ -61,7 +61,11 @@ sums.
 The sandwich counts exactly before it sums, so each of its two sums stops
 at the first shell whose proven tail is below its margin (count - lower
 or upper - count), or, where the margin is too thin for that, at the
-first shell whose proven tail is below a fixed tail target of 1e-3.
+first shell whose proven tail is below a fixed tail target of 1e-3.  A
+sum is cut, and the check reported inconclusive, at the last shell C
+whose shells 1..C hold at most about 4e8 points: the work of a shell
+grows like its points, c^(n-1), so the budget is on points, not shells
+(C = 10 000 for n = 2, 367 for n = 3).
 """
 
 from __future__ import annotations
@@ -470,12 +474,25 @@ class SandwichResult:
     upper_rule: str | None
 
 
-# outermost shell a sandwich sum may reach before it is reported
-# inconclusive
-_MAX_CUTOFF = 10_000
+# points of shells 1..C a sandwich sum may reach before it is reported
+# inconclusive: (2C + 1)^n - 1, so n = 2 stops at shell 10 000 and
+# n = 3 at shell 367
+_MAX_POINTS = 40_000 * 10_001
 # a sandwich sum whose margin is too thin to prove stops once its proven
 # tail is below this
 _TAIL_TARGET = 1e-3
+
+
+def _max_cutoff(n: int) -> int:
+    """Outermost shell C whose shells 1..C hold at most _MAX_POINTS
+    points, (2C + 1)^n - 1 <= _MAX_POINTS, in integer arithmetic from a
+    float first guess."""
+    c = int((_MAX_POINTS + 1) ** (1.0 / n)) // 2
+    while (2 * c + 3) ** n - 1 <= _MAX_POINTS:
+        c += 1
+    while (2 * c + 1) ** n - 1 > _MAX_POINTS:
+        c -= 1
+    return c
 
 
 def sandwich_check(basis: LatticeBasis, t: float,
@@ -494,7 +511,7 @@ def sandwich_check(basis: LatticeBasis, t: float,
     a margin is below -T with T < _TAIL_TARGET, "holds" when both sums
     stopped with their margins at least -T (proven when the rule is
     "margin", to within T when it is "target"), and "inconclusive", with
-    holds = None, when a sum reaches _MAX_CUTOFF without stopping.  A
+    holds = None, when a sum reaches _max_cutoff(n) without stopping.  A
     non-finite t or epsilon, or a nonpositive epsilon, is rejected before
     any shell is summed.
     """
@@ -511,7 +528,7 @@ def sandwich_check(basis: LatticeBasis, t: float,
     exact = count_points(basis, t)
     margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _MAX_CUTOFF, margins, _TAIL_TARGET)
+                           _max_cutoff(basis.n), margins, _TAIL_TARGET)
     sides = [(margin(sm.value), sm.tail)
              for margin, sm in zip(margins, (lo, hi))]
     if any(margin < -tail and tail < _TAIL_TARGET for margin, tail in sides):

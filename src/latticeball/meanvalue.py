@@ -9,6 +9,11 @@ moment for n >= 3 adds c_n * vol(tB) with
 so the remainder E = N - vol has variance 1 + (c_n - 2) vol(tB).  The
 constant is summed here with a proven tail bound instead of a fixed
 cutoff.
+
+Known to be wrong: this series is not Rogers' constant.  The Haar
+variance for n >= 3 is (4 zeta(n-1)/zeta(n) - 2) vol(tB); the factor
+(q r)^(-n) above should not be there.  compute_cn(3) gives 4.1403, where
+4 zeta(2)/zeta(3) = 5.4737, so variance_prediction is not exact.
 """
 
 from __future__ import annotations
@@ -90,7 +95,11 @@ def siegel_mean(n: int, t: float) -> float:
 
 
 def variance_prediction(n: int, t: float, cn: CnResult) -> float:
-    """Var[N - vol] = 1 + (c_n - 2) vol(tB) over unimodular lattices."""
+    """Var[N - vol] = 1 + (c_n - 2) vol(tB) over unimodular lattices.
+
+    Not exact: compute_cn's series is not Rogers' constant (4.1403 for
+    n = 3, against 4 zeta(2)/zeta(3) = 5.4737; see the module docstring).
+    """
     if n < 3:
         raise ValueError("variance formula requires n >= 3")
     if cn.n != n:

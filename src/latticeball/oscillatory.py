@@ -119,36 +119,6 @@ class OscillatorySpec:
                 transformed_coords(self.eta, self.l))
 
 
-def phase(spec: OscillatorySpec, a) -> float:
-    """Phi(a) for a point of the diagonal coordinate box."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (spec.n,):
-        raise ValueError(f"expected a point of length {spec.n}")
-    if np.any(a <= 0):
-        raise ValueError("diagonal coordinates must be positive")
-    kt, lt = spec.transformed()
-    s1, s2 = spec.signs
-    return float(s1 * math.sqrt(float(a @ kt ** 2))
-                 + s2 * math.sqrt(float(a @ lt ** 2)))
-
-
-def weight(spec: OscillatorySpec, a) -> float:
-    """Box-supported weight (|k|/|k|_AN)^p (|l|/|l|_AN)^p."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (spec.n,):
-        raise ValueError(f"expected a point of length {spec.n}")
-    box = spec.psi_intervals
-    if np.any(a < box[:, 0]) or np.any(a > box[:, 1]):
-        return 0.0
-    kt, lt = spec.transformed()
-    p = spec.weight_exponent
-    qk = float(a @ kt ** 2)
-    ql = float(a @ lt ** 2)
-    nk = float(spec.k @ spec.k)
-    nl = float(spec.l @ spec.l)
-    return (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
-
-
 # Gauss-Legendre orders: I_kl's coarse and fine panels, vdc_check's panels
 _COARSE_ORDER = 8
 _FINE_ORDER = 12

@@ -6,12 +6,9 @@ import pytest
 from latticeball.basis import (
     LatticeBasis,
     SingularBasisError,
-    eta_to_unipotent,
     gram,
     identity_basis,
-    iwasawa_decompose,
     transformed_coords,
-    unipotent_to_eta,
 )
 from latticeball.counting import count_points
 
@@ -112,59 +109,6 @@ class TestGram:
             assert np.all(np.linalg.eigvalsh(G) > 0)
 
 
-class TestIwasawa:
-    def test_identity(self):
-        form = iwasawa_decompose(identity_basis(3))
-        assert np.allclose(form.K, np.eye(3), atol=1e-12)
-        assert np.allclose(form.a, 1.0)
-        assert np.allclose(form.eta, 0.0)
-
-    def test_upper_triangular_gives_trivial_k(self):
-        X = LatticeBasis(np.array([[2.0, 1.0, 0.5],
-                                   [0.0, 3.0, 1.0],
-                                   [0.0, 0.0, 0.5]]))
-        form = iwasawa_decompose(X)
-        assert np.allclose(form.K, np.eye(3), atol=1e-10)
-
-    def test_a_encodes_inverse_square_diagonal(self):
-        X = LatticeBasis(np.diag([2.0, 0.5, 4.0]))
-        form = iwasawa_decompose(X)
-        assert np.allclose(form.a, [0.25, 4.0, 1.0 / 16.0])
-        assert np.allclose(form.A_matrix(), np.diag([2.0, 0.5, 4.0]))
-
-    def test_reconstruction_population(self, rng):
-        worst = 0.0
-        for _ in range(1000):
-            X = random_basis(rng, 3)
-            form = iwasawa_decompose(X)
-            resid = np.max(np.abs(form.reconstruct() - X.entries))
-            resid /= np.max(np.abs(X.entries))
-            ortho = np.max(np.abs(form.K.T @ form.K - np.eye(3)))
-            worst = max(worst, resid, ortho)
-            assert np.all(form.a > 0)
-        assert worst < 1e-10
-
-    def test_two_dimensional(self, rng):
-        for _ in range(200):
-            X = random_basis(rng, 2)
-            form = iwasawa_decompose(X)
-            assert np.max(np.abs(form.reconstruct() - X.entries)) < 1e-10
-
-    def test_near_singular_rejected(self):
-        with pytest.raises(SingularBasisError):
-            iwasawa_decompose(LatticeBasis(np.array([[1.0, 1.0],
-                                                     [1.0, 1.0 + 1e-14]])))
-
-
-class TestEtaPacking:
-    def test_round_trip(self, rng):
-        for _ in range(50):
-            eta = rng.normal(size=6)
-            N = eta_to_unipotent(eta)
-            assert np.allclose(unipotent_to_eta(N), eta)
-            assert np.allclose(np.diag(N), 1.0)
-
-
 class TestTransformedCoords:
     def test_zero_eta(self):
         k = np.array([3, -1, 2])
@@ -203,6 +147,18 @@ class TestTransformedCoords:
             lhs = kt[0] * lt[1] - kt[1] * lt[0]
             rhs = k[0] * l[1] - k[1] * l[0]
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("eta, k", [
+    (np.zeros(2), [1.0, 2.0, 3.0]),
+    (np.zeros(3), [1.0, 2.0]),
+    (np.zeros(3), [[1.0, 2.0, 3.0]]),
+    (np.zeros(3), 1.0),
+])
+def test_transformed_coords_refuses_mismatched_shapes(eta, k):
+    """n is the length of k; eta must hold n(n-1)/2 entries."""
+    with pytest.raises(ValueError):
+        transformed_coords(eta, k)
 
 
 class TestUnimodularInvariance:

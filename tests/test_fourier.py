@@ -551,11 +551,18 @@ class TestSandwich:
         assert res.lower_tail < 1e-3
 
     def test_cutoff_reached_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(fourier, "_MAX_CUTOFF", 3)
+        # (2 * 3 + 1)^2 - 1 = 48 points: shells 1..3 of n = 2
+        monkeypatch.setattr(fourier, "_MAX_POINTS", 48)
         res = sandwich_check(identity_basis(2), 2.5, 0.05)
         assert (res.holds, res.status, res.cutoff) == (None, "inconclusive",
                                                        3)
         assert (res.lower_rule, res.upper_rule) == (None, None)
+
+    def test_cutoff_is_a_point_budget(self):
+        """n = 2 reaches shell 10 000; n = 3, whose shells hold about
+        24 c^2 points each, stops at shell 367 on the same budget."""
+        assert (fourier._max_cutoff(2), fourier._max_cutoff(3)) == (10_000,
+                                                                   367)
 
     def test_epsilon_too_large(self):
         with pytest.raises(ValueError):

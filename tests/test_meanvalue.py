@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from latticeball.basis import identity_basis
 from latticeball.counting import (
@@ -49,6 +50,15 @@ class TestComputeCn:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             compute_cn(2)
+
+    @pytest.mark.xfail(strict=True, reason="compute_cn's series is not "
+                       "Rogers' constant 4 zeta(n-1)/zeta(n)")
+    def test_c3_is_rogers_constant(self):
+        """Pins the documented defect: once c_n is 4 zeta(n-1)/zeta(n),
+        this passes and strict xfail fails, so the meanvalue docstrings
+        and README must change with it."""
+        rogers = 4.0 * float(special.zeta(2.0)) / float(special.zeta(3.0))
+        assert compute_cn(3).value == pytest.approx(rogers, abs=1e-9)
 
 
 class TestMomentFormulas:

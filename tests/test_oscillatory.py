@@ -17,9 +17,7 @@ from latticeball.oscillatory import (
     _trapezoids,
     discriminant,
     hessian_bound_check,
-    phase,
     vdc_check,
-    weight,
 )
 
 UNIT_BOX3 = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
@@ -37,6 +35,40 @@ def spec2(k=(1, 1), l=(1, -1), signs=(1, 1), eta=(0.25,)):
                            l=np.asarray(l, float), signs=signs,
                            eta=np.asarray(eta, float),
                            psi_intervals=np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+# The pointwise phase and weight, written from their definitions: the
+# references that the quadrature tests integrate.
+
+
+def phase(spec: OscillatorySpec, a) -> float:
+    """Phi(a) for a point of the diagonal coordinate box."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (spec.n,):
+        raise ValueError(f"expected a point of length {spec.n}")
+    if np.any(a <= 0):
+        raise ValueError("diagonal coordinates must be positive")
+    kt, lt = spec.transformed()
+    s1, s2 = spec.signs
+    return float(s1 * math.sqrt(float(a @ kt ** 2))
+                 + s2 * math.sqrt(float(a @ lt ** 2)))
+
+
+def weight(spec: OscillatorySpec, a) -> float:
+    """Box-supported weight (|k|/|k|_AN)^p (|l|/|l|_AN)^p."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (spec.n,):
+        raise ValueError(f"expected a point of length {spec.n}")
+    box = spec.psi_intervals
+    if np.any(a < box[:, 0]) or np.any(a > box[:, 1]):
+        return 0.0
+    kt, lt = spec.transformed()
+    p = spec.weight_exponent
+    qk = float(a @ kt ** 2)
+    ql = float(a @ lt ** 2)
+    nk = float(spec.k @ spec.k)
+    nl = float(spec.l @ spec.l)
+    return (nk / qk) ** (p / 2.0) * (nl / ql) ** (p / 2.0)
 
 
 def dense_value(spec, t, ms):
