@@ -318,6 +318,10 @@ def _run_fourier(cfg: dict):
     points = _number(cfg.get("points", 201), "points", int)
     if points < 2 or s_max <= 0:
         raise ConfigError("fourier needs s_max > 0 and points >= 2")
+    if not math.isfinite(2.0 * math.pi * s_max):
+        # the transform's phase 2 pi s would overflow to inf
+        raise ConfigError(f"'s_max' must be at most about 2.86e307 (2 pi "
+                          f"s_max finite), not {s_max!r}")
     s = np.linspace(0.0, s_max, points)
     vals = hat_chi_ball(n, s)
     rows = list(zip(s.tolist(), vals.tolist()))

@@ -20,7 +20,9 @@ as its radii do one by one.
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
 children), so memory stays flat however many bases, however many radii
-or however large a radius is asked for.
+or however large a radius is asked for.  A level whose children all fit
+under the cap, as every level of a small count does, is one pass with no
+cutting.
 
 Membership uses the closed ball with a hair of slack, |X k|^2 <= t^2 *
 (1 + 1e-12), so points sitting exactly on the sphere are kept.  The
@@ -76,18 +78,26 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
         # rows: basis b, unspent budget rem >= 0, shift[:, j] for j <= i
         rii = diag[i][b]
         s = np.sqrt(rem)
-        lo = np.ceil((-shift[:, i] - s) / rii)
-        hi = np.floor((-shift[:, i] + s) / rii)
+        centre = -shift[:, i]
+        lo = np.ceil((centre - s) / rii)
+        hi = np.floor((centre + s) / rii)
         width = np.maximum(hi - lo + 1.0, 0.0)
         if i == 0:
             return np.bincount(b, weights=width, minlength=B).astype(np.int64)
         width = width.astype(np.int64)
-        start = np.cumsum(width) - width
-        total = np.zeros(B, dtype=np.int64)
-        # parents whose children start in the same ROW_CAP window share a
-        # pass, so a pass holds at most ROW_CAP plus one parent's children
-        cuts = np.flatnonzero(np.diff(start // ROW_CAP, prepend=-1))
-        for a, c in zip(cuts, [*cuts[1:], b.size]):
+        end = np.cumsum(width)
+        start = end - width
+        if end[-1] <= ROW_CAP:
+            # every child fits in one pass
+            windows = [(0, b.size)]
+        else:
+            # parents whose children start in the same ROW_CAP window
+            # share a pass, so a pass holds at most ROW_CAP plus one
+            # parent's children
+            cuts = np.flatnonzero(np.diff(start // ROW_CAP, prepend=-1))
+            windows = zip(cuts, [*cuts[1:], b.size])
+        total = 0
+        for a, c in windows:
             w = width[a:c]
             k = np.repeat(lo[a:c] - (start[a:c] - start[a]), w)
             k += np.arange(k.size)
@@ -98,7 +108,7 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
             k = k[keep]
             b_k = b[parent]
             shift_k = shift[parent, :i] + cols[i][b_k] * k[:, None]
-            total += level(i - 1, b_k, rem_k[keep], shift_k)
+            total = total + level(i - 1, b_k, rem_k[keep], shift_k)
         return total
 
     return level(n - 1, np.arange(B), np.full(B, budget), np.zeros((B, n)))
@@ -127,7 +137,7 @@ def count_many(bases, t) -> np.ndarray:
     smallest = min(abs(X.det) for X in bases)
     if max(ts) > (_COUNT_LIMIT * smallest / unit_ball_volume(n)) ** (1.0 / n):
         raise OverflowError("count would exceed the 64-bit range")
-    R = np.linalg.cholesky(gram(np.stack([X.entries for X in bases])))
+    R = np.linalg.cholesky(gram(np.array([X.entries for X in bases])))
     R = R.transpose(0, 2, 1)
     # one enumeration per radius, each with the scalar budget and the
     # flat memory of a single count

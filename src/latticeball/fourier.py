@@ -30,10 +30,17 @@ gathered into the product over the shell's points.  Every term is even
 in k, so each shell is evaluated on one point of every +-k pair (half its
 points) and mirrored into the full shell's order before summing, which
 leaves the sums bit-identical to summing over the full shell.  The lower
-and upper sums of the sandwich share one pass over the shells: mollifier
-weights and dual norms are built once per shell, and the ball transform
-is one call on every radius still summing times every dual norm.  The
-integer points of the shells up to _CACHED_SHELLS are built once per
+and upper sums of the sandwich share one pass over the shells, taken a
+block of consecutive shells at a time: a block holds about half as many
+points as every shell summed before it, at least _BLOCK_MIN = 512 and at
+most _BLOCK_MAX = 4096 unless one shell alone holds more.  Each block
+builds its mollifier weights and dual norms once and makes one
+ball-transform call on every radius still summing times every dual norm;
+the shells are then summed one by one, in order, with the stop rules
+below checked after each.  For n = 2 the Hankel term count of J1 is set
+by a call's smallest argument, so the later shells of a block get at
+least the terms they would get alone and may differ in the last bit.
+The integer points of the shells up to _CACHED_SHELLS are built once per
 process.
 
 Every sum carries a proven tail.  Past shell C every frequency has
@@ -135,7 +142,7 @@ def _j1_hankel(x: np.ndarray) -> np.ndarray:
     """J1 at each x >= _HANKEL_FROM by the Hankel expansion."""
     # the term count of the call's smallest argument serves them all,
     # since each term a_k / x^k falls with x; fmin passes over a NaN
-    x0 = float(np.fmin.reduce(x))
+    x0 = float(np.fmin.reduce(x, axis=None, initial=math.inf))
     terms = 1
     while abs(_HANKEL[terms]) >= _HANKEL_CUT * x0 ** terms:
         terms += 1
@@ -181,39 +188,39 @@ def hat_chi_ball(n: int, s):
     with the value at s = 0 equal to the unit-ball volume and a short
     even Taylor series bridging the removable singularity.  For n = 2 the
     Hankel term count comes from the call's smallest argument, so an
-    argument's value may differ in its last bits between calls.
+    argument's value may differ in its last bits between calls: a Poisson
+    sum makes one call per block of shells.
     """
     if n not in (2, 3):
         raise ValueError("closed forms are implemented for n in {2, 3}")
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.abs(np.atleast_1d(s))
-    out = np.empty_like(s)
-
-    tiny = s < _SMALL_S
-    big = ~tiny
-    if n == 3:
-        if np.any(big):
-            sb = s[big]
+    # the closed form runs on every argument, the tiny ones lifted to
+    # _SMALL_S so that s = 0 divides by nothing; their values are then
+    # overwritten by the series.  Past about 5.7e102 (n = 3) s^3
+    # overflows to inf and its term to the right 0, so overflow is quiet
+    sb = np.maximum(s, _SMALL_S)
+    with np.errstate(over="ignore"):
+        if n == 3:
             u = 2.0 * math.pi * sb
-            out[big] = (-np.cos(u) / (math.pi * sb * sb)
-                        + np.sin(u) / (2.0 * math.pi ** 2 * sb ** 3))
-        if np.any(tiny):
-            st = s[tiny]
+            out = (-np.cos(u) / (math.pi * sb * sb)
+                   + np.sin(u) / (2.0 * math.pi ** 2 * sb ** 3))
+        else:
+            # J1 in numpy: scipy.special would cost about 0.3 s and 25 MB
+            # on first use, inside the first n = 2 call
+            out = _j1(2.0 * math.pi * sb) / sb
+    if np.fmin.reduce(s, axis=None, initial=math.inf) < _SMALL_S:
+        tiny = s < _SMALL_S
+        st = s[tiny]
+        if n == 3:
             u2 = (2.0 * math.pi * st) ** 2
             # (u^2/3 - u^4/30 + u^6/840 - u^8/45360) / (pi s^2)
             poly = (1.0 / 3.0
                     - u2 * (1.0 / 30.0
                             - u2 * (1.0 / 840.0 - u2 / 45360.0)))
             out[tiny] = 4.0 * math.pi * poly
-    else:
-        if np.any(big):
-            # J1 in numpy: scipy.special would cost about 0.3 s and 25 MB
-            # on first use, inside the first n = 2 call
-            sb = s[big]
-            out[big] = _j1(2.0 * math.pi * sb) / sb
-        if np.any(tiny):
-            st = s[tiny]
+        else:
             v = (math.pi * st) ** 2
             out[tiny] = math.pi * (1.0 - v / 2.0 + v * v / 12.0
                                    - v ** 3 / 144.0)
@@ -343,14 +350,84 @@ def _shell(n: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return shell
 
 
+# a block of shells holds about half as many half-shell points as every
+# shell summed before it, but at least _BLOCK_MIN and at most _BLOCK_MAX
+# unless one shell alone holds more.  Without the floor the first blocks
+# are single small shells; without the cap a sum pays for up to as many
+# transforms past its stopping shell as before it, and the arrays of the
+# last block grow with it
+_BLOCK_MIN = 512
+_BLOCK_MAX = 4096
+
+
+def _half_size(n: int, c: int) -> int:
+    """Points of shell c in its half shell, one of every +-k pair."""
+    return ((2 * c + 1) ** n - (2 * c - 1) ** n) // 2
+
+
+def _blocks(n: int, cutoff: int):
+    """(first, last) of each block of consecutive shells, in order, that
+    together cover shells 1..cutoff."""
+    first, summed = 1, 0
+    while first <= cutoff:
+        room = min(max(summed // 2, _BLOCK_MIN), _BLOCK_MAX)
+        last, size = first, _half_size(n, first)
+        while last < cutoff and size + _half_size(n, last + 1) <= room:
+            last += 1
+            size += _half_size(n, last)
+        yield first, last
+        summed += size
+        first = last + 1
+
+
+def _block(n: int, first: int, last: int):
+    """Shells first..last as (K, K as floats, index, starts): their half
+    shells one after another, shell first + j in rows starts[j] to
+    starts[j + 1] of K, and the gather index that rebuilds the full
+    shells in the same order, shell first + j in entries 2 starts[j] to
+    2 starts[j + 1]."""
+    if first == last:
+        K, Kf, index = _shell(n, first)
+        return K, Kf, index, [0, K.shape[0]]
+    shells = [_shell(n, c) for c in range(first, last + 1)]
+    starts = [0]
+    for K, _, _ in shells:
+        starts.append(starts[-1] + K.shape[0])
+    K = np.concatenate([shell[0] for shell in shells])
+    Kf = np.concatenate([shell[1] for shell in shells])
+    index = np.concatenate([shell[2] + lo
+                            for shell, lo in zip(shells, starts)])
+    return K, Kf, index, starts
+
+
+# rows per matrix product in _dual_norms.  OpenBLAS spreads an m x n by
+# n x n product over all its threads once m n^2 passes 2^18 (about 29 000
+# rows for n = 3), which on a shared 2-vCPU machine made the norms of a
+# 10^6-point shell up to 30 times slower; a row's product is the same bits
+# in any slice of rows
+_NORM_ROWS = 16384
+
+
 def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """|W k| at each row k of K (integers, or the same as floats)."""
-    return np.sqrt(np.sum((np.asarray(K, dtype=float) @ W.T) ** 2, axis=1))
+    """|W k| at each row k of K (integers, or the same as floats).
+
+    The squares are added column by column, left to right, which is the
+    order of np.sum over the short axis 1 at a fifth of its cost."""
+    K = np.asarray(K, dtype=float)
+    out = np.empty(K.shape[0])
+    for lo in range(0, K.shape[0], _NORM_ROWS):
+        Y = K[lo:lo + _NORM_ROWS] @ W.T
+        Y *= Y
+        acc = np.add(Y[:, 0], Y[:, 1], out=out[lo:lo + _NORM_ROWS])
+        for j in range(2, Y.shape[1]):
+            acc += Y[:, j]
+    return np.sqrt(out, out=out)
 
 
 def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
-    """Mollifier transform prod_j rho0_hat(epsilon k_j) at each point k of
-    shell c, gathered from rho0_hat at the c + 1 values |k_j| = 0..c."""
+    """Mollifier transform prod_j rho0_hat(epsilon k_j) at each row k of
+    K, a shell or a block of shells up to c, gathered from rho0_hat at the
+    c + 1 values |k_j| = 0..c."""
     r = _rho0_hat(epsilon * np.arange(c + 1))
     # rho0_hat is even: with the values for k_j = 1..c appended in
     # reverse, a negative k_j indexes its own value from the end
@@ -378,18 +455,24 @@ class PoissonSum(NamedTuple):
 
 
 def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
-                  margins=None, tail_target: float = 0.0) -> list[PoissonSum]:
+                  margins=None, tail_target: float = 0.0,
+                  singular=None) -> list[PoissonSum]:
     """Main term plus shells 1..cutoff, at each radius of ``radii``, for
     the mollifier of width ``epsilon``, each with its proven tail.
 
     A shell's points, mollifier weights and dual norms do not depend on
-    the radius, so each shell is built once and summed at every radius
-    still accumulating, with one ball-transform call on the outer product
-    of those radii and the dual norms.  Every term is even in k, so the
-    weights, dual norms and ball transforms are evaluated on one point of
-    each +-k pair and gathered into the full shell's order before summing:
-    the sums add the same numbers in the same sequence as over the full
-    shell.
+    the radius, so the shells are built a block at a time (_blocks) and
+    summed at every radius still accumulating.  A block makes one
+    mollifier table up to its last shell, one pass over its dual norms
+    and one ball-transform call on the outer product of those radii and
+    the dual norms; for n = 2 that call's smallest argument sets the
+    Hankel term count of the whole block.  Every term is even in k, so
+    all of this runs on one point of each +-k pair and is gathered into
+    the full shells' order, and each shell's terms are summed on their
+    own: the sums add the same numbers in the same sequence as over the
+    full shell, one shell after another.  The shells are then walked in
+    order, and a radius stops at its first shell that meets a stop rule,
+    so transforms computed past that shell in its block go unused.
 
     The tail of radius r after shell C is the bound of the module
     docstring plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
@@ -405,19 +488,22 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     radius's value to its margin: a radius stops at the first shell whose
     tail is below its margin (rule "margin").  Any radius stops once its
     tail is below ``tail_target`` (rule "target").  Without either, every
-    radius runs to ``cutoff``.
+    radius runs to ``cutoff``.  ``singular``, if given, holds the singular
+    values of the basis in decreasing order, as np.linalg.svd gives them.
     """
     if margins is not None and len(margins) != len(radii):
         raise ValueError("margins needs one function per radius")
     n = basis.n
     W = np.linalg.inv(basis.entries).T
-    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    if singular is None:
+        singular = np.linalg.svd(basis.entries, compute_uv=False)
     # smallest singular value of W, so |W k| >= sigma |k|_inf
     sigma = 1.0 / float(singular[0])
     kappa = float(singular[0] / singular[-1])
     det = abs(basis.det)
     values = [t ** n * unit_ball_volume(n) / det for t in radii]
     mass = list(values)
+    scales = [t ** n / det for t in radii]
     # envelope of |hat_chi| over the next shell, at each radius
     envelope = [_ball_envelope(n, t * sigma) for t in radii]
     tails = [math.inf] * len(radii)
@@ -426,32 +512,44 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     g_sum = 1.0
     s_max = 0.0
     active = list(range(len(radii)))
-    for c in range(1, cutoff + 1):
-        K, Kf, index = _shell(n, c)
-        rho = _shell_rho(K, c, epsilon)
+    for first, last in _blocks(n, cutoff):
+        K, Kf, index, starts = _block(n, first, last)
+        rho = _shell_rho(K, last, epsilon)
         s = _dual_norms(Kf, W)
-        s_max = max(s_max, float(np.max(s)))
-        rho_mass = 2.0 * float(np.sum(rho))
-        g_sum += 2.0 * _rho0_majorant(epsilon * c)
-        gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
+        peaks = np.maximum.reduceat(s, starts[:-1]).tolist()
+        # the radii still summing when the block starts, one row each
+        rows = active
         transform = hat_chi_ball(
-            n, np.multiply.outer([radii[i] for i in active], s))
-        for i, chi in zip(active, transform):
-            t = radii[i]
-            scale = t ** n / det
-            half = scale * chi * rho
-            values[i] += float(np.sum(half[index]))
-            mass[i] += scale * envelope[i] * rho_mass
-            envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
-            rounding = _ROUNDING * (
-                1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
-            tails[i] = scale * envelope[i] * gap + rounding
-            shells[i] = c
-            if margins is not None and tails[i] < margins[i](values[i]):
-                rules[i] = "margin"
-            elif tails[i] < tail_target:
-                rules[i] = "target"
-        active = [i for i in active if rules[i] is None]
+            n, np.multiply.outer([radii[i] for i in rows], s))
+        transform *= np.array([scales[i] for i in rows])[:, None]
+        transform *= rho
+        full = transform[:, index]
+        for c, lo, hi, peak in zip(range(first, last + 1), starts,
+                                   starts[1:], peaks):
+            s_max = max(s_max, peak)
+            rho_mass = 2.0 * float(np.add.reduce(rho[lo:hi]))
+            g_sum += 2.0 * _rho0_majorant(epsilon * c)
+            gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
+            for i, terms in zip(rows, full):
+                if rules[i] is not None:
+                    continue
+                t = radii[i]
+                # a 1-d sum: the pairwise order of np.sum over the shell,
+                # which a sum over axis 1 of the block does not keep
+                values[i] += float(np.add.reduce(terms[2 * lo:2 * hi]))
+                mass[i] += scales[i] * envelope[i] * rho_mass
+                envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
+                rounding = _ROUNDING * (
+                    1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
+                tails[i] = scales[i] * envelope[i] * gap + rounding
+                shells[i] = c
+                if margins is not None and tails[i] < margins[i](values[i]):
+                    rules[i] = "margin"
+                elif tails[i] < tail_target:
+                    rules[i] = "target"
+            active = [i for i in active if rules[i] is None]
+            if not active:
+                break
         if not active:
             break
     return [PoissonSum(*row) for row in zip(values, tails, shells, rules)]
@@ -519,8 +617,10 @@ def sandwich_check(basis: LatticeBasis, t: float,
         raise ValueError("t and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    sigma = float(np.linalg.norm(basis.entries, 2))
-    shift = epsilon * math.sqrt(basis.n) * sigma
+    # the largest singular value, ||X||_2, from the one SVD that the
+    # Poisson sums' tails also read
+    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    shift = epsilon * math.sqrt(basis.n) * float(singular[0])
     if t - shift <= 0:
         raise ValueError(
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
@@ -528,7 +628,8 @@ def sandwich_check(basis: LatticeBasis, t: float,
     exact = count_points(basis, t)
     margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _max_cutoff(basis.n), margins, _TAIL_TARGET)
+                           _max_cutoff(basis.n), margins, _TAIL_TARGET,
+                           singular)
     sides = [(margin(sm.value), sm.tail)
              for margin, sm in zip(margins, (lo, hi))]
     if any(margin < -tail and tail < _TAIL_TARGET for margin, tail in sides):

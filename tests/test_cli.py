@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,35 @@ class TestFourier:
                    {"n": 3, "s_max": 1.0, "points": 10 ** 17}) == CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_phase_is_one_stderr_line(self, tmp_path, n):
+        """2 pi s_max = inf would print numpy warnings and write NaN, which
+        is not JSON: s_max is refused with one line and exit 3."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": n, "s_max": 1e308, "points": 5}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "latticeball.cli", "fourier", "--config",
+             str(path)], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert done.returncode == CONFIG
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert "'s_max'" in lines[0]
+        assert done.stdout == ""
+
+    def test_largest_finite_phase_runs_quietly(self, tmp_path, capsys):
+        """Just below the limit every value is finite, so the output is
+        JSON, and no overflow warning is printed."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "fourier",
+                       {"n": 3, "s_max": 2.8e307, "points": 5}) == OK
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["max_abs"] == pytest.approx(4.0 * math.pi / 3.0)
+        assert captured.err == ""
 
 
 class TestSandwich:

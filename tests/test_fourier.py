@@ -15,13 +15,22 @@ from scipy import integrate, interpolate, special
 import latticeball
 from latticeball import fourier
 from latticeball.basis import LatticeBasis, identity_basis
-from latticeball.counting import count_points
+from latticeball.counting import count_points, unit_ball_volume
 from latticeball.fourier import (
     MollifierSpec,
+    PoissonSum,
     SandwichResult,
+    _BLOCK_MAX,
+    _BLOCK_MIN,
     _CACHED_SHELLS,
+    _NORM_ROWS,
+    _ROUNDING,
+    _SMALL_S,
     _ball_envelope,
+    _block,
+    _blocks,
     _dual_norms,
+    _half_size,
     _j1,
     _majorant_tail,
     _poisson_sums,
@@ -99,6 +108,46 @@ class TestHatChiBall:
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             hat_chi_ball(4, 1.0)
+
+    @pytest.mark.parametrize("n, s", [(3, [1.0, 1e103, 1e200]),
+                                      (2, [1.0, 1e200]),
+                                      (3, [0.0, 5e-4]), (2, [0.0, 5e-4])])
+    def test_no_warning_at_extreme_arguments(self, n, s):
+        """Past about 5.7e102 s^3 overflows to inf and its n = 3 term to
+        the right 0; at s = 0 the closed form is never divided by 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hat_chi_ball(n, s)
+        assert np.all(np.isfinite(out))
+        assert out[0] == hat_chi_ball(n, s[0])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_path_equals_split_branches(self, n):
+        """Closed form on every argument, then the series on the tiny ones,
+        equals the earlier split into the two sets bit for bit."""
+        rng = np.random.default_rng(11)
+        s = np.concatenate([[0.0, 1e-4, 9.99e-4, 1e-3, 30.0 / math.pi],
+                            rng.uniform(0.0, 2e-3, 200),
+                            np.exp(rng.uniform(-6.0, 8.0, 1995))])
+        rng.shuffle(s)
+        s = s.reshape(2, -1)
+        tiny = s < _SMALL_S
+        expected = np.empty_like(s)
+        sb, st = s[~tiny], s[tiny]
+        if n == 3:
+            u = 2.0 * math.pi * sb
+            expected[~tiny] = (-np.cos(u) / (math.pi * sb * sb)
+                               + np.sin(u) / (2.0 * math.pi ** 2 * sb ** 3))
+            u2 = (2.0 * math.pi * st) ** 2
+            expected[tiny] = 4.0 * math.pi * (
+                1.0 / 3.0 - u2 * (1.0 / 30.0
+                                  - u2 * (1.0 / 840.0 - u2 / 45360.0)))
+        else:
+            expected[~tiny] = _j1(2.0 * math.pi * sb) / sb
+            v = (math.pi * st) ** 2
+            expected[tiny] = math.pi * (1.0 - v / 2.0 + v * v / 12.0
+                                        - v ** 3 / 144.0)
+        assert np.array_equal(hat_chi_ball(n, s), expected)
 
 
 class TestJ1:
@@ -228,6 +277,17 @@ class TestShellPoints:
         assert np.array_equal(face_signs(F, c)[:, None] * K[index], F)
         assert np.array_equal(np.bincount(index), np.full(K.shape[0], 2))
 
+    def test_dual_norms_sum_left_to_right(self):
+        """The column-by-column sum, over products of at most _NORM_ROWS
+        rows, equals np.sum over axis 1 of one product bit for bit."""
+        rng = np.random.default_rng(5)
+        for n in (2, 3):
+            W = np.eye(n) + rng.uniform(-0.3, 0.3, (n, n))
+            K = rng.integers(-400, 401, (2 * _NORM_ROWS + 4321, n))
+            Y = K.astype(float) @ W.T
+            assert np.array_equal(_dual_norms(K, W),
+                                  np.sqrt(np.sum(Y ** 2, axis=1)))
+
     def test_dual_norms_even_bitwise(self):
         """The mirror rests on |W k| and |W (-k)| being equal bit for bit,
         and on the half shell's norms equal to the full shell's rows."""
@@ -353,6 +413,208 @@ _FAR = {2: 120, 3: 60}
 def far_value(basis: LatticeBasis, radius: float, epsilon: float) -> float:
     [far] = _poisson_sums(basis, (radius,), epsilon, _FAR[basis.n])
     return far.value
+
+
+def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
+                            cutoff: int, margins=None,
+                            tail_target: float = 0.0) -> list[PoissonSum]:
+    """The earlier per-shell loop of fourier._poisson_sums, kept as the
+    oracle of the block pass: one ball-transform call per shell."""
+    if margins is not None and len(margins) != len(radii):
+        raise ValueError("margins needs one function per radius")
+    n = basis.n
+    W = np.linalg.inv(basis.entries).T
+    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    # smallest singular value of W, so |W k| >= sigma |k|_inf
+    sigma = 1.0 / float(singular[0])
+    kappa = float(singular[0] / singular[-1])
+    det = abs(basis.det)
+    values = [t ** n * unit_ball_volume(n) / det for t in radii]
+    mass = list(values)
+    # envelope of |hat_chi| over the next shell, at each radius
+    envelope = [_ball_envelope(n, t * sigma) for t in radii]
+    tails = [math.inf] * len(radii)
+    shells = [0] * len(radii)
+    rules: list[str | None] = [None] * len(radii)
+    g_sum = 1.0
+    s_max = 0.0
+    active = list(range(len(radii)))
+    for c in range(1, cutoff + 1):
+        K, Kf, index = _shell(n, c)
+        rho = _shell_rho(K, c, epsilon)
+        s = _dual_norms(Kf, W)
+        s_max = max(s_max, float(np.max(s)))
+        rho_mass = 2.0 * float(np.sum(rho))
+        g_sum += 2.0 * _rho0_majorant(epsilon * c)
+        gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
+        transform = hat_chi_ball(
+            n, np.multiply.outer([radii[i] for i in active], s))
+        for i, chi in zip(active, transform):
+            t = radii[i]
+            scale = t ** n / det
+            half = scale * chi * rho
+            values[i] += float(np.sum(half[index]))
+            mass[i] += scale * envelope[i] * rho_mass
+            envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
+            rounding = _ROUNDING * (
+                1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
+            tails[i] = scale * envelope[i] * gap + rounding
+            shells[i] = c
+            if margins is not None and tails[i] < margins[i](values[i]):
+                rules[i] = "margin"
+            elif tails[i] < tail_target:
+                rules[i] = "target"
+        active = [i for i in active if rules[i] is None]
+        if not active:
+            break
+    return [PoissonSum(*row) for row in zip(values, tails, shells, rules)]
+
+
+def assert_matches_oracle(n, got, expected):
+    """shells, rule and tail equal the per-shell loop's; the value too for
+    n = 3, and within 2 ulp for n = 2, whose Hankel term count is set by a
+    whole block's smallest argument."""
+    for g, e in zip(got, expected, strict=True):
+        assert (g.shells, g.rule, g.tail) == (e.shells, e.rule, e.tail)
+        if n == 3:
+            assert g.value == e.value
+        else:
+            assert abs(g.value - e.value) <= 2.0 * math.ulp(e.value)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cutoff", [1, 3, 10, 15, 16, 70, 400])
+    def test_blocks_cover_shells_in_order(self, n, cutoff):
+        """Consecutive blocks cover 1..cutoff; each holds at most half of
+        the points before it, or _BLOCK_MIN, and at most _BLOCK_MAX
+        unless it is one shell."""
+        blocks = list(_blocks(n, cutoff))
+        assert [c for a, b in blocks for c in range(a, b + 1)] == list(
+            range(1, cutoff + 1))
+        summed = 0
+        for first, last in blocks:
+            size = sum(_half_size(n, c) for c in range(first, last + 1))
+            if last > first:
+                assert size <= min(max(summed // 2, _BLOCK_MIN), _BLOCK_MAX)
+            summed += size
+
+    def test_half_size_is_half_shell(self):
+        for n in (2, 3):
+            for c in range(1, 8):
+                assert _half_size(n, c) == _shell_points(n, c)[0].shape[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_is_its_shells_in_order(self, n):
+        """A block's rows are its half shells one after another, and its
+        index rebuilds each full shell in the shell's own order."""
+        for first, last in _blocks(n, _CACHED_SHELLS + 4):
+            K, Kf, index, starts = _block(n, first, last)
+            assert len(starts) == last - first + 2
+            for j, c in enumerate(range(first, last + 1)):
+                Kc, _, ic = _shell(n, c)
+                lo, hi = starts[j], starts[j + 1]
+                assert np.array_equal(K[lo:hi], Kc)
+                assert np.array_equal(Kf[lo:hi], Kc)
+                assert np.array_equal(index[2 * lo:2 * hi], ic + lo)
+
+
+class TestBlockPass:
+    """fourier._poisson_sums against the per-shell loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 3]),
+           entries=st.lists(st.floats(-0.2, 0.2), min_size=9, max_size=9),
+           t=st.floats(2.0, 4.5), shift=st.floats(0.0, 0.5),
+           eps=st.floats(0.02, 0.3), cutoff=st.integers(1, 60),
+           offsets=st.one_of(st.none(), st.tuples(st.floats(-2.0, 2.0),
+                                                  st.floats(-2.0, 2.0))),
+           target=st.sampled_from([0.0, 1e-3, 0.05]))
+    def test_matches_per_shell_loop(self, n, entries, t, shift, eps, cutoff,
+                                    offsets, target):
+        M = np.eye(n) + np.reshape(entries[:n * n], (n, n))
+        if abs(np.linalg.det(M)) <= 0.5:
+            return
+        basis = LatticeBasis(M)
+        radii = (t - shift, t + shift)
+        if n == 3:
+            cutoff = min(cutoff, 30)
+        margins = None
+        if offsets is not None:
+            # a count near each smoothed count, so that the margin rule
+            # fires at shells spread over the blocks
+            volume = [r ** n * unit_ball_volume(n) / abs(basis.det)
+                      for r in radii]
+            count = [round(v + o) for v, o in zip(volume, offsets)]
+            margins = (lambda v: count[0] - v, lambda v: v - count[1])
+        got = _poisson_sums(basis, radii, eps, cutoff, margins, target)
+        expected = _poisson_sums_per_shell(basis, radii, eps, cutoff,
+                                           margins, target)
+        assert_matches_oracle(n, got, expected)
+
+    def test_cutoff_inside_a_block(self):
+        """Shells 1..15 make the first n = 2 block: a cutoff of 10 ends it
+        early."""
+        assert next(_blocks(2, 10_000)) == (1, 15)
+        basis = LatticeBasis(_SHEAR2)
+        got = _poisson_sums(basis, (2.6, 2.9), 0.05, 10)
+        assert [sm.shells for sm in got] == [10, 10]
+        assert_matches_oracle(
+            2, got, _poisson_sums_per_shell(basis, (2.6, 2.9), 0.05, 10))
+
+    def test_one_radius_stops_mid_block(self):
+        """On Z^2 at t = 3.7, eps = 0.05 the lower sum stops at shell 41,
+        inside the block of shells 39..46, and the upper sum runs on to
+        shell 68."""
+        assert (39, 46) in list(_blocks(2, 68))
+        basis = identity_basis(2)
+        shift = _PINNED_SANDWICH[3][4].shift
+        margins = (lambda v: 45 - v, lambda v: v - 45)
+        args = (basis, (3.7 - shift, 3.7 + shift), 0.05, 10_000, margins,
+                1e-3)
+        got = _poisson_sums(*args)
+        assert [sm.shells for sm in got] == [41, 68]
+        assert_matches_oracle(2, got, _poisson_sums_per_shell(*args))
+
+    def test_one_shell_blocks(self):
+        """n = 3 shells 5 to 14 are blocks of their own, below the cap, and
+        so is every shell that alone holds more than the cap."""
+        blocks = list(_blocks(3, 40))
+        assert blocks[:11] == [(1, 4)] + [(c, c) for c in range(5, 15)]
+        big = next(c for c in range(1, 41) if _half_size(3, c) > _BLOCK_MAX)
+        assert [(a, b) for a, b in blocks if b >= big] == [
+            (c, c) for c in range(big, 41)]
+        basis = LatticeBasis(_SHEAR3)
+        got = _poisson_sums(basis, (2.4, 3.0), 0.2, 8)
+        assert_matches_oracle(
+            3, got, _poisson_sums_per_shell(basis, (2.4, 3.0), 0.2, 8))
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 90), (3, _CACHED_SHELLS + 3)])
+    def test_shells_past_the_cache(self, n, cutoff):
+        basis = LatticeBasis(_SHEAR2 if n == 2 else _SHEAR3)
+        got = _poisson_sums(basis, (2.7,), 0.1, cutoff)
+        assert got[0].shells == cutoff
+        assert_matches_oracle(
+            n, got, _poisson_sums_per_shell(basis, (2.7,), 0.1, cutoff))
+
+    def test_one_transform_call_per_block(self, monkeypatch):
+        """The pinned Z^2 check sums 68 shells in 8 blocks, one
+        ball-transform call each; no check calls it more often than it
+        sums shells."""
+        calls = []
+
+        def counted(n, s):
+            calls.append(np.shape(s))
+            return hat_chi_ball(n, s)
+
+        monkeypatch.setattr(fourier, "hat_chi_ball", counted)
+        res = sandwich_check(identity_basis(2), 3.7, 0.05)
+        assert res.cutoff == 68
+        assert len(calls) <= 10
+        for M, t, eps, _, _ in _PINNED_SANDWICH:
+            calls.clear()
+            res = sandwich_check(LatticeBasis(M), t, eps)
+            assert 1 <= len(calls) <= res.cutoff
 
 
 class TestPinnedValues:
