@@ -167,8 +167,9 @@ def _j1_trapezoid(x: np.ndarray) -> np.ndarray:
 
 
 def _j1(x: np.ndarray) -> np.ndarray:
-    """Bessel J1 at each x > 0 of a 1-d array (module docstring), within
-    32 units of 2^-52 min(0.6, sqrt(2/(pi x))), the size of J1 near x."""
+    """Bessel J1 at each x > 0 of an array of any shape (module
+    docstring), within 32 units of 2^-52 min(0.6, sqrt(2/(pi x))), the
+    size of J1 near x."""
     near = x < _HANKEL_FROM
     if not near.any():
         return _j1_hankel(x)
@@ -400,27 +401,16 @@ def _block(n: int, first: int, last: int):
     return K, Kf, index, starts
 
 
-# rows per matrix product in _dual_norms.  OpenBLAS spreads an m x n by
-# n x n product over all its threads once m n^2 passes 2^18 (about 29 000
-# rows for n = 3), which on a shared 2-vCPU machine made the norms of a
-# 10^6-point shell up to 30 times slower; a row's product is the same bits
-# in any slice of rows
-_NORM_ROWS = 16384
-
-
 def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     """|W k| at each row k of K (integers, or the same as floats).
 
     The squares are added column by column, left to right, which is the
     order of np.sum over the short axis 1 at a fifth of its cost."""
-    K = np.asarray(K, dtype=float)
-    out = np.empty(K.shape[0])
-    for lo in range(0, K.shape[0], _NORM_ROWS):
-        Y = K[lo:lo + _NORM_ROWS] @ W.T
-        Y *= Y
-        acc = np.add(Y[:, 0], Y[:, 1], out=out[lo:lo + _NORM_ROWS])
-        for j in range(2, Y.shape[1]):
-            acc += Y[:, j]
+    Y = np.asarray(K, dtype=float) @ W.T
+    Y *= Y
+    out = Y[:, 0] + Y[:, 1]
+    for j in range(2, Y.shape[1]):
+        out += Y[:, j]
     return np.sqrt(out, out=out)
 
 
@@ -455,8 +445,7 @@ class PoissonSum(NamedTuple):
 
 
 def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
-                  margins=None, tail_target: float = 0.0,
-                  singular=None) -> list[PoissonSum]:
+                  margins=None, tail_target: float = 0.0) -> list[PoissonSum]:
     """Main term plus shells 1..cutoff, at each radius of ``radii``, for
     the mollifier of width ``epsilon``, each with its proven tail.
 
@@ -467,12 +456,13 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     and one ball-transform call on the outer product of those radii and
     the dual norms; for n = 2 that call's smallest argument sets the
     Hankel term count of the whole block.  Every term is even in k, so
-    all of this runs on one point of each +-k pair and is gathered into
-    the full shells' order, and each shell's terms are summed on their
-    own: the sums add the same numbers in the same sequence as over the
-    full shell, one shell after another.  The shells are then walked in
-    order, and a radius stops at its first shell that meets a stop rule,
-    so transforms computed past that shell in its block go unused.
+    all of this runs on one point of each +-k pair, and each shell's terms
+    are gathered into the full shell's order and summed on their own, one
+    radius at a time: the sums add the same numbers in the same sequence
+    as over the full shell, one shell after another.  The shells are
+    walked in order, and a radius stops at its first shell that meets a
+    stop rule, so transforms computed past that shell in its block go
+    unused.
 
     The tail of radius r after shell C is the bound of the module
     docstring plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
@@ -488,15 +478,13 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     radius's value to its margin: a radius stops at the first shell whose
     tail is below its margin (rule "margin").  Any radius stops once its
     tail is below ``tail_target`` (rule "target").  Without either, every
-    radius runs to ``cutoff``.  ``singular``, if given, holds the singular
-    values of the basis in decreasing order, as np.linalg.svd gives them.
+    radius runs to ``cutoff``.
     """
     if margins is not None and len(margins) != len(radii):
         raise ValueError("margins needs one function per radius")
     n = basis.n
     W = np.linalg.inv(basis.entries).T
-    if singular is None:
-        singular = np.linalg.svd(basis.entries, compute_uv=False)
+    singular = np.linalg.svd(basis.entries, compute_uv=False)
     # smallest singular value of W, so |W k| >= sigma |k|_inf
     sigma = 1.0 / float(singular[0])
     kappa = float(singular[0] / singular[-1])
@@ -523,20 +511,21 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
             n, np.multiply.outer([radii[i] for i in rows], s))
         transform *= np.array([scales[i] for i in rows])[:, None]
         transform *= rho
-        full = transform[:, index]
         for c, lo, hi, peak in zip(range(first, last + 1), starts,
                                    starts[1:], peaks):
             s_max = max(s_max, peak)
             rho_mass = 2.0 * float(np.add.reduce(rho[lo:hi]))
             g_sum += 2.0 * _rho0_majorant(epsilon * c)
             gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
-            for i, terms in zip(rows, full):
+            shell = index[2 * lo:2 * hi]
+            for i, terms in zip(rows, transform):
                 if rules[i] is not None:
                     continue
                 t = radii[i]
-                # a 1-d sum: the pairwise order of np.sum over the shell,
-                # which a sum over axis 1 of the block does not keep
-                values[i] += float(np.add.reduce(terms[2 * lo:2 * hi]))
+                # the shell's terms gathered into full-shell order, one
+                # radius at a time, and summed in the pairwise order of
+                # np.sum over the shell
+                values[i] += float(np.add.reduce(terms[shell]))
                 mass[i] += scales[i] * envelope[i] * rho_mass
                 envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
                 rounding = _ROUNDING * (
@@ -617,10 +606,8 @@ def sandwich_check(basis: LatticeBasis, t: float,
         raise ValueError("t and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    # the largest singular value, ||X||_2, from the one SVD that the
-    # Poisson sums' tails also read
-    singular = np.linalg.svd(basis.entries, compute_uv=False)
-    shift = epsilon * math.sqrt(basis.n) * float(singular[0])
+    sigma = float(np.linalg.norm(basis.entries, 2))
+    shift = epsilon * math.sqrt(basis.n) * sigma
     if t - shift <= 0:
         raise ValueError(
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
@@ -628,8 +615,7 @@ def sandwich_check(basis: LatticeBasis, t: float,
     exact = count_points(basis, t)
     margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _max_cutoff(basis.n), margins, _TAIL_TARGET,
-                           singular)
+                           _max_cutoff(basis.n), margins, _TAIL_TARGET)
     sides = [(margin(sm.value), sm.tail)
              for margin, sm in zip(margins, (lo, hi))]
     if any(margin < -tail and tail < _TAIL_TARGET for margin, tail in sides):

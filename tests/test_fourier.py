@@ -23,7 +23,6 @@ from latticeball.fourier import (
     _BLOCK_MAX,
     _BLOCK_MIN,
     _CACHED_SHELLS,
-    _NORM_ROWS,
     _ROUNDING,
     _SMALL_S,
     _ball_envelope,
@@ -278,12 +277,12 @@ class TestShellPoints:
         assert np.array_equal(np.bincount(index), np.full(K.shape[0], 2))
 
     def test_dual_norms_sum_left_to_right(self):
-        """The column-by-column sum, over products of at most _NORM_ROWS
-        rows, equals np.sum over axis 1 of one product bit for bit."""
+        """The column-by-column sum of the squares equals np.sum over
+        axis 1 bit for bit."""
         rng = np.random.default_rng(5)
         for n in (2, 3):
             W = np.eye(n) + rng.uniform(-0.3, 0.3, (n, n))
-            K = rng.integers(-400, 401, (2 * _NORM_ROWS + 4321, n))
+            K = rng.integers(-400, 401, (50_000, n))
             Y = K.astype(float) @ W.T
             assert np.array_equal(_dual_norms(K, W),
                                   np.sqrt(np.sum(Y ** 2, axis=1)))
