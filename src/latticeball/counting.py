@@ -36,6 +36,7 @@ is 1, and count_points(Z^3, 3 - 1e-13) returns 123 where it is 93.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,6 +55,8 @@ _COUNT_LIMIT = 2.0 ** 64
 ROW_CAP = 1 << 12
 
 
+# cached: the sandwich's tail bound asks for it once per shell and radius
+@functools.cache
 def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1)
 

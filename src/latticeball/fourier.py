@@ -28,8 +28,7 @@ frequencies.  On shell c every coordinate has |k_j| in 0..c, so the 1-d
 transform is evaluated once per integer coordinate, c + 1 values, and
 gathered into the product over the shell's points.  Every term is even
 in k, so each shell is evaluated on one point of every +-k pair (half its
-points) and mirrored into the full shell's order before summing, which
-leaves the sums bit-identical to summing over the full shell.  The lower
+points), and a shell's sum is twice its half shell's.  The lower
 and upper sums of the sandwich share one pass over the shells, taken a
 block of consecutive shells at a time: a block holds about half as many
 points as every shell summed before it, at least _BLOCK_MIN = 512 and at
@@ -191,6 +190,11 @@ def hat_chi_ball(n: int, s):
     Hankel term count comes from the call's smallest argument, so an
     argument's value may differ in its last bits between calls: a Poisson
     sum makes one call per block of shells.
+
+    The domain is |s| with 2 pi |s| finite, up to about 2.86e307.  Past
+    that the phase 2 pi s overflows to inf and both n = 2 and n = 3
+    return NaN with a RuntimeWarning; nothing here checks for it, and the
+    `fourier` command refuses such an s_max (exit 3).
     """
     if n not in (2, 3):
         raise ValueError("closed forms are implemented for n in {2, 3}")
@@ -305,19 +309,17 @@ def _power_gap(g: float, d: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _shell_points(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+def _shell_points(n: int, c: int) -> np.ndarray:
     """Half of the integer vectors with sup norm exactly c, one of every
-    +-k pair, and the gather index that rebuilds the full shell.
+    +-k pair, as the rows of K, shape (m, n).
 
     Face j of the shell holds the vectors with x_j = +-c whose earlier
     coordinates lie in (-c, c) and whose later ones run over [-c, c], so
-    every vector of the shell lies on exactly one face.  K, shape (m, n),
-    holds the x_j = +c side of each face in lexicographic order.  The
-    x_j = -c side is that block negated and reversed, so in the full shell
-    [face_0(+c), face_0(-c), face_1(+c), ...] the i-th point is
-    +-K[index[i]]: each block of K followed by its reverse.
+    every vector of the shell lies on exactly one face.  K holds the
+    x_j = +c side of each face in lexicographic order; the x_j = -c side
+    is that side negated, the other half of the shell.
     """
-    faces, index, start = [], [], 0
+    faces = []
     for j in range(n):
         shape = (2 * c - 1,) * j + (1,) + (2 * c + 1,) * (n - 1 - j)
         face = np.indices(shape).reshape(n, -1).T
@@ -325,10 +327,7 @@ def _shell_points(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         face[:, j] = c
         face[:, j + 1:] -= c
         faces.append(face)
-        rows = np.arange(start, start + face.shape[0])
-        index += [rows, rows[::-1]]
-        start += face.shape[0]
-    return np.vstack(faces), np.concatenate(index)
+    return np.vstack(faces)
 
 
 # shells up to this sup norm keep their points for the life of the
@@ -337,13 +336,13 @@ _CACHED_SHELLS = 24
 _shell_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
-def _shell(n: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_shell_points(n, c) as (K, K as floats, index), read-only and
-    built once per process when c <= _CACHED_SHELLS."""
+def _shell(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The half shell _shell_points(n, c) as (K, K as floats), read-only
+    and built once per process when c <= _CACHED_SHELLS."""
     shell = _shell_cache.get((n, c))
     if shell is None:
-        K, index = _shell_points(n, c)
-        shell = (K, K.astype(float), index)
+        K = _shell_points(n, c)
+        shell = (K, K.astype(float))
         if c <= _CACHED_SHELLS:
             for a in shell:
                 a.setflags(write=False)
@@ -382,23 +381,19 @@ def _blocks(n: int, cutoff: int):
 
 
 def _block(n: int, first: int, last: int):
-    """Shells first..last as (K, K as floats, index, starts): their half
-    shells one after another, shell first + j in rows starts[j] to
-    starts[j + 1] of K, and the gather index that rebuilds the full
-    shells in the same order, shell first + j in entries 2 starts[j] to
-    2 starts[j + 1]."""
+    """Shells first..last as (K, K as floats, starts): their half shells
+    one after another, shell first + j in rows starts[j] to starts[j + 1]
+    of K."""
     if first == last:
-        K, Kf, index = _shell(n, first)
-        return K, Kf, index, [0, K.shape[0]]
+        K, Kf = _shell(n, first)
+        return K, Kf, [0, K.shape[0]]
     shells = [_shell(n, c) for c in range(first, last + 1)]
     starts = [0]
-    for K, _, _ in shells:
+    for K, _ in shells:
         starts.append(starts[-1] + K.shape[0])
     K = np.concatenate([shell[0] for shell in shells])
     Kf = np.concatenate([shell[1] for shell in shells])
-    index = np.concatenate([shell[2] + lo
-                            for shell, lo in zip(shells, starts)])
-    return K, Kf, index, starts
+    return K, Kf, starts
 
 
 def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -456,10 +451,9 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     and one ball-transform call on the outer product of those radii and
     the dual norms; for n = 2 that call's smallest argument sets the
     Hankel term count of the whole block.  Every term is even in k, so
-    all of this runs on one point of each +-k pair, and each shell's terms
-    are gathered into the full shell's order and summed on their own, one
-    radius at a time: the sums add the same numbers in the same sequence
-    as over the full shell, one shell after another.  The shells are
+    all of this runs on one point of each +-k pair, and a shell's sum is
+    twice its half shell's: each half shell's terms are summed on their
+    own, one radius at a time, and doubled, which is exact.  The shells are
     walked in order, and a radius stops at its first shell that meets a
     stop rule, so transforms computed past that shell in its block go
     unused.
@@ -471,8 +465,9 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     s_max is the largest dual norm summed and kappa the condition number
     of the basis.  Each term is exact to a few ulps of that bound, except
     that its phase 2 pi r s carries a relative error of a few ulps; the
-    pairwise sum of a shell adds at most log2 of its size ulps of M, and
-    adding C shells one after another adds C more.
+    pairwise sum of a half shell adds at most log2 of its size ulps of M,
+    doubling it adds none, and adding C shells one after another adds C
+    more.
 
     ``margins``, if given, holds one function per radius that maps the
     radius's value to its margin: a radius stops at the first shell whose
@@ -501,7 +496,7 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     s_max = 0.0
     active = list(range(len(radii)))
     for first, last in _blocks(n, cutoff):
-        K, Kf, index, starts = _block(n, first, last)
+        K, Kf, starts = _block(n, first, last)
         rho = _shell_rho(K, last, epsilon)
         s = _dual_norms(Kf, W)
         peaks = np.maximum.reduceat(s, starts[:-1]).tolist()
@@ -517,15 +512,11 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
             rho_mass = 2.0 * float(np.add.reduce(rho[lo:hi]))
             g_sum += 2.0 * _rho0_majorant(epsilon * c)
             gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
-            shell = index[2 * lo:2 * hi]
             for i, terms in zip(rows, transform):
                 if rules[i] is not None:
                     continue
                 t = radii[i]
-                # the shell's terms gathered into full-shell order, one
-                # radius at a time, and summed in the pairwise order of
-                # np.sum over the shell
-                values[i] += float(np.add.reduce(terms[shell]))
+                values[i] += 2.0 * float(np.add.reduce(terms[lo:hi]))
                 mass[i] += scales[i] * envelope[i] * rho_mass
                 envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
                 rounding = _ROUNDING * (

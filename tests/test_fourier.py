@@ -244,18 +244,12 @@ def full_shell(n: int, c: int) -> np.ndarray:
                      if v[j] == side and max(map(abs, v[:j]), default=0) < c])
 
 
-def face_signs(F: np.ndarray, c: int) -> np.ndarray:
-    """Sign of the first coordinate of each row that reaches +-c."""
-    first = np.argmax(np.abs(F) == c, axis=1)
-    return np.sign(F[np.arange(F.shape[0]), first])
-
-
 class TestShellPoints:
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("c", range(1, 7))
     def test_exact_sup_norm_shell(self, n, c):
         """One point of every +-k pair of the shell, and nothing else."""
-        K, _ = _shell_points(n, c)
+        K = _shell_points(n, c)
         assert K.shape == (((2 * c + 1) ** n - (2 * c - 1) ** n) // 2, n)
         assert np.all(np.max(np.abs(K), axis=1) == c)
         rows = set(map(tuple, K.tolist()))
@@ -265,16 +259,6 @@ class TestShellPoints:
         assert rows | negated == {
             v for v in itertools.product(range(-c, c + 1), repeat=n)
             if max(map(abs, v)) == c}
-
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("c", range(1, 7))
-    def test_index_rebuilds_full_shell_order(self, n, c):
-        """+-K[index] lists the full shell in face order, the order whose
-        sums the half shell must reproduce bit for bit."""
-        K, index = _shell_points(n, c)
-        F = full_shell(n, c)
-        assert np.array_equal(face_signs(F, c)[:, None] * K[index], F)
-        assert np.array_equal(np.bincount(index), np.full(K.shape[0], 2))
 
     def test_dual_norms_sum_left_to_right(self):
         """The column-by-column sum of the squares equals np.sum over
@@ -288,43 +272,50 @@ class TestShellPoints:
                                   np.sqrt(np.sum(Y ** 2, axis=1)))
 
     def test_dual_norms_even_bitwise(self):
-        """The mirror rests on |W k| and |W (-k)| being equal bit for bit,
-        and on the half shell's norms equal to the full shell's rows."""
+        """Doubling the half shell's sum rests on every term being even in
+        k: |W k| and rho_hat at k and -k are equal bit for bit, and twice
+        the half shell's sum is the full shell's to within 4 ulp of its
+        absolute sum."""
         rng = np.random.default_rng(7)
         for trial in range(20):
             n = 2 + trial % 2
             M = np.eye(n) + rng.uniform(-0.2, 0.2, (n, n))
             W = np.linalg.inv(LatticeBasis(M).entries).T
+            eps = rng.uniform(0.02, 0.3)
+            r = rng.uniform(2.0, 4.5)
             for c in range(1, 31):
-                K, index = _shell_points(n, c)
-                s = _dual_norms(K, W)
-                assert np.array_equal(_dual_norms(-K, W), s)
-                # the first copy of each row in the full shell is +k, the
-                # second -k (test_index_rebuilds_full_shell_order)
-                sign = -np.ones(index.size)
-                sign[np.unique(index, return_index=True)[1]] = 1.0
-                F = sign[:, None] * K[index]
-                assert np.array_equal(_dual_norms(F, W), s[index])
+                K = _shell_points(n, c)
+                assert np.array_equal(_dual_norms(-K, W), _dual_norms(K, W))
+                assert np.array_equal(_shell_rho(-K, c, eps),
+                                      _shell_rho(K, c, eps))
+            for c in range(1, 7):
+                K, F = _shell_points(n, c), full_shell(n, c)
+                half = (hat_chi_ball(n, r * _dual_norms(K, W))
+                        * _shell_rho(K, c, eps))
+                full = (hat_chi_ball(n, r * _dual_norms(F, W))
+                        * _shell_rho(F, c, eps))
+                bound = 4.0 * math.ulp(float(np.sum(np.abs(full))))
+                assert abs(2.0 * np.sum(half) - np.sum(full)) <= bound
 
 
 class TestShellCache:
     @pytest.mark.parametrize("n", [2, 3])
     def test_cached_shells_are_read_only_shell_points(self, n):
         for c in range(1, _CACHED_SHELLS + 1):
-            K, Kf, index = _shell(n, c)
+            K, Kf = _shell(n, c)
             assert _shell(n, c)[0] is K
-            K0, index0 = _shell_points(n, c)
-            assert np.array_equal(K, K0) and np.array_equal(index, index0)
+            K0 = _shell_points(n, c)
+            assert np.array_equal(K, K0)
             assert Kf.dtype == float and np.array_equal(Kf, K0)
-            for a in (K, Kf, index):
+            for a in (K, Kf):
                 assert not a.flags.writeable
 
     def test_larger_shells_are_not_kept(self):
         c = _CACHED_SHELLS + 1
-        K, Kf, index = _shell(2, c)
+        K, Kf = _shell(2, c)
         assert _shell(2, c)[0] is not K
         assert K.flags.writeable
-        assert np.array_equal(K, _shell_points(2, c)[0])
+        assert np.array_equal(K, _shell_points(2, c))
 
 
 class TestShellRho:
@@ -332,7 +323,7 @@ class TestShellRho:
     @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3, 1.7, 30.0])
     def test_gather_equals_per_point_product(self, n, epsilon):
         for c in range(1, 9):
-            K, _ = _shell_points(n, c)
+            K = _shell_points(n, c)
             expected = np.ones(K.shape[0])
             for j in range(n):
                 expected *= _rho0_hat(epsilon * K[:, j].astype(float))
@@ -439,7 +430,7 @@ def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
     s_max = 0.0
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
-        K, Kf, index = _shell(n, c)
+        K, Kf = _shell(n, c)
         rho = _shell_rho(K, c, epsilon)
         s = _dual_norms(Kf, W)
         s_max = max(s_max, float(np.max(s)))
@@ -452,7 +443,7 @@ def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
             t = radii[i]
             scale = t ** n / det
             half = scale * chi * rho
-            values[i] += float(np.sum(half[index]))
+            values[i] += 2.0 * float(np.sum(half))
             mass[i] += scale * envelope[i] * rho_mass
             envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
             rounding = _ROUNDING * (
@@ -501,21 +492,19 @@ class TestBlocks:
     def test_half_size_is_half_shell(self):
         for n in (2, 3):
             for c in range(1, 8):
-                assert _half_size(n, c) == _shell_points(n, c)[0].shape[0]
+                assert _half_size(n, c) == _shell_points(n, c).shape[0]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_block_is_its_shells_in_order(self, n):
-        """A block's rows are its half shells one after another, and its
-        index rebuilds each full shell in the shell's own order."""
+        """A block's rows are its half shells one after another."""
         for first, last in _blocks(n, _CACHED_SHELLS + 4):
-            K, Kf, index, starts = _block(n, first, last)
+            K, Kf, starts = _block(n, first, last)
             assert len(starts) == last - first + 2
             for j, c in enumerate(range(first, last + 1)):
-                Kc, _, ic = _shell(n, c)
+                Kc, _ = _shell(n, c)
                 lo, hi = starts[j], starts[j + 1]
                 assert np.array_equal(K[lo:hi], Kc)
                 assert np.array_equal(Kf[lo:hi], Kc)
-                assert np.array_equal(index[2 * lo:2 * hi], ic + lo)
 
 
 class TestBlockPass:
