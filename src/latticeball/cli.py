@@ -174,6 +174,10 @@ def _config_basis(cfg: dict) -> LatticeBasis:
 
 
 def _t_grid_from_config(cfg: dict) -> list:
+    """The t grid of exactly one of "t" or "t_grid"."""
+    if "t" in cfg and "t_grid" in cfg:
+        raise InputError("config gives both 't' and 't_grid'; give exactly "
+                         "one of them")
     if "t_grid" in cfg:
         grid = _array(cfg["t_grid"], "t_grid")
     elif "t" in cfg:
@@ -339,6 +343,15 @@ def _run_sandwich(cfg: dict):
     return dataclasses.asdict(result), None
 
 
+def _report_output(report, **extra):
+    """A Hessian or van der Corput report, with the ``extra`` result keys,
+    as (result, csv payload)."""
+    out = dict(dataclasses.asdict(report), **extra)
+    rows = list(zip(report.t_grid, report.measured, report.bound,
+                    report.ratios))
+    return out, (("t", "measured", "bound", "ratio"), rows)
+
+
 def _osc_spec_from_config(cfg: dict) -> OscillatorySpec:
     n = _number(_require(cfg, "n"), "n", int)
     k, l, eta = (_array(_require(cfg, key), key) for key in ("k", "l", "eta"))
@@ -362,12 +375,8 @@ def _run_oscint(cfg: dict):
     if not isinstance(hessian, bool):
         raise InputError("'hessian' must be true or false")
     if hessian:
-        report = hessian_bound_check(spec, grid, **kwargs)
-        out = dataclasses.asdict(report)
-        rows = list(zip(report.t_grid, report.measured, report.bound,
-                        report.ratios))
-        return out, (("t", "measured", "bound", "ratio"), rows)
-    values = [I_kl(spec, t, **kwargs) for t in grid]
+        return _report_output(hessian_bound_check(spec, grid, **kwargs))
+    values = I_kl(spec, grid, **kwargs).tolist()
     rows = [(t, v.real, v.imag, abs(v)) for t, v in zip(grid, values)]
     out = {
         "n": spec.n,
@@ -395,13 +404,8 @@ def _run_vdc(cfg: dict):
         return np.polynomial.polynomial.polyval(x, _c)
 
     report = vdc_check(phi, psi0, a, b, grid)
-    out = dataclasses.asdict(report)
-    out["phi"] = phi_coeffs
-    out["psi0"] = psi_coeffs
-    out["interval"] = [a, b]
-    rows = list(zip(report.t_grid, report.measured, report.bound,
-                    report.ratios))
-    return out, (("t", "measured", "bound", "ratio"), rows)
+    return _report_output(report, phi=phi_coeffs, psi0=psi_coeffs,
+                          interval=[a, b])
 
 
 # each subcommand's body and the top-level config keys it reads

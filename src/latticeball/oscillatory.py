@@ -8,8 +8,7 @@ The phase attached to a frequency pair (k, l) and sign choice is
 
 with ktil, ltil the unipotent-transformed coordinates.  The integrals
 carry the weight (|k| / |k|_AN)^p (|l| / |l|_AN)^p restricted to a box
-in a-space, p = 2 for n = 3 and 3/2 for n = 2, and oscillate like
-exp(2 pi i t Phi).
+in a-space, p = (n + 1)/2, and oscillate like exp(2 pi i t Phi).
 
 The integrand depends on a only through qk = a.K and ql = a.L, where K
 and L are the entrywise squares of ktil and ltil.  So the box integral
@@ -32,6 +31,9 @@ it, and each panel carries a product Gauss-Legendre rule of order 8
 (coarse) or 12 (fine), so points_per_period is the coarse rule's nodes
 per cycle.  Every value is checked against the finer rule on the same
 panels before it is returned.
+
+The trapezoids do not depend on t, so I_kl takes a grid of t of any
+shape and builds them once for it; only the panels are counted per t.
 
 The sum runs over columns of nodes at fixed u, in blocks of a fixed
 number of nodes, so its memory does not grow with the rule.  At each
@@ -112,7 +114,7 @@ class OscillatorySpec:
 
     @property
     def weight_exponent(self) -> float:
-        return 2.0 if self.n == 3 else 1.5
+        return (self.n + 1) / 2.0
 
     def transformed(self) -> tuple[np.ndarray, np.ndarray]:
         return (transformed_coords(self.eta, self.k),
@@ -375,55 +377,53 @@ def _pushforward_value(spec: OscillatorySpec, geom: _Trapezoids, t: float,
                    sin_q[0] + cos_q[1] - sin_q[2] - cos_q[3])
 
 
-def I_kl(spec: OscillatorySpec, t: float,
-         points_per_period: float = _POINTS_PER_PERIOD) -> complex:
-    """The oscillatory integral at parameter t, as the 2-D integral over
-    the trapezoids that cut the image of the box (module docstring).
+def I_kl(spec: OscillatorySpec, t,
+         points_per_period: float = _POINTS_PER_PERIOD):
+    """The oscillatory integral at each parameter of t, a number or an
+    array, as a complex or a complex array of t's shape: the 2-D integral
+    over the trapezoids that cut the image of the box (module docstring),
+    built once for all t after every t and points_per_period are checked.
 
-    Each side of a trapezoid is cut into panels, enough for the coarse
-    order-8 rule to place points_per_period nodes per cycle of the phase
-    across it, as the phase gradient bounds the cycles, and at least one.
-    The order-12 rule on the same panels gives the returned value; the
+    At each t, each side of a trapezoid is cut into panels, enough for
+    the coarse order-8 rule to place points_per_period nodes per cycle of
+    the phase across it, as the phase gradient bounds the cycles, and at
+    least one.  The order-12 rule on the same panels gives the value; the
     two must agree to _TARGET_REL times the box volume, otherwise
     ResolutionError, as also when the two rules together need more than
     _MAX_TOTAL_POINTS nodes.
     """
-    _check_I_kl_args(t, points_per_period)
-    return _I_kl_on(spec, _trapezoids(spec), t, points_per_period)
-
-
-def _check_I_kl_args(t: float, points_per_period: float) -> None:
-    if t < 0 or not math.isfinite(t):
+    grid = np.asarray(t, dtype=float)
+    ts = grid.ravel().tolist()
+    if not ts:
+        raise ValueError("need at least one t")
+    if not all(0.0 <= x < math.inf for x in ts):
         raise ValueError("t must be finite and nonnegative")
     if not (math.isfinite(points_per_period) and points_per_period > 0):
         raise ValueError("points_per_period must be finite and positive")
-
-
-def _I_kl_on(spec: OscillatorySpec, geom: _Trapezoids, t: float,
-             points_per_period: float) -> complex:
-    """I_kl on the trapezoids ``geom`` of ``spec``, which do not depend
-    on t, so that a check over several t builds them once; the arguments
-    are checked by the caller."""
-    px, py = _panels(geom, t, points_per_period)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes = ((_COARSE_ORDER ** 2 + _FINE_ORDER ** 2)
-                 * float(np.sum(px * py)))
-    if not nodes <= _MAX_TOTAL_POINTS:
-        raise ResolutionError(
-            f"panel rules need {nodes:.2e} evaluations, over the budget of "
-            f"{_MAX_TOTAL_POINTS:.1e}; t is too large for the budget"
-        )
-    px, py = px.astype(np.int64), py.astype(np.int64)
-    coarse_val = _pushforward_value(spec, geom, t, px, py, _COARSE_ORDER)
-    fine_val = _pushforward_value(spec, geom, t, px, py, _FINE_ORDER)
+    geom = _trapezoids(spec)
     box = spec.psi_intervals
     box_vol = float(np.prod(box[:, 1] - box[:, 0]))
-    if abs(fine_val - coarse_val) > _TARGET_REL * box_vol:
-        raise ResolutionError(
-            f"quadrature not converged: |delta| = {abs(fine_val - coarse_val):.3e} "
-            f"exceeds {_TARGET_REL:.1e} * box volume {box_vol:.3e}"
-        )
-    return fine_val
+    values = []
+    for x in ts:
+        px, py = _panels(geom, x, points_per_period)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = ((_COARSE_ORDER ** 2 + _FINE_ORDER ** 2)
+                     * float(np.sum(px * py)))
+        if not nodes <= _MAX_TOTAL_POINTS:
+            raise ResolutionError(
+                f"panel rules need {nodes:.2e} evaluations, over the budget "
+                f"of {_MAX_TOTAL_POINTS:.1e}; t is too large for the budget"
+            )
+        px, py = px.astype(np.int64), py.astype(np.int64)
+        coarse = _pushforward_value(spec, geom, x, px, py, _COARSE_ORDER)
+        fine = _pushforward_value(spec, geom, x, px, py, _FINE_ORDER)
+        if abs(fine - coarse) > _TARGET_REL * box_vol:
+            raise ResolutionError(
+                f"quadrature not converged: |delta| = {abs(fine - coarse):.3e} "
+                f"exceeds {_TARGET_REL:.1e} * box volume {box_vol:.3e}"
+            )
+        values.append(fine)
+    return values[0] if grid.ndim == 0 else np.reshape(values, grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +456,27 @@ def discriminant(k, l, eta) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class HessianReport:
+class _GridReport:
+    """A measured modulus against its decay bound at each t of a grid."""
+
     t_grid: tuple
     measured: tuple
     bound: tuple
     ratios: tuple
     max_ratio: float
+
+
+def _grid_report(cls, ts, measured, bound, **extra):
+    """A ``cls`` report whose ratios are measured / bound, or 0 or inf
+    where the bound is 0."""
+    ratios = tuple(m / b if b > 0.0 else (0.0 if m == 0.0 else math.inf)
+                   for m, b in zip(measured, bound))
+    return cls(t_grid=tuple(ts), measured=tuple(measured), bound=tuple(bound),
+               ratios=ratios, max_ratio=max(ratios), **extra)
+
+
+@dataclass(frozen=True)
+class HessianReport(_GridReport):
     disc: float
 
 
@@ -469,8 +484,9 @@ def hessian_bound_check(
         spec: OscillatorySpec, t_grid,
         points_per_period: float = _POINTS_PER_PERIOD) -> HessianReport:
     """Measured |I_kl(t)| against the stationary-phase envelope
-    |k|^{3/2} |l|^{3/2} / (t |disc|), each I_kl at points_per_period on
-    one set of trapezoids for the whole grid."""
+    |k|^{3/2} |l|^{3/2} / (t |disc|) on a strictly increasing grid of
+    positive t: one I_kl call at points_per_period for the whole grid, so
+    one set of trapezoids serves every t."""
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
@@ -481,21 +497,9 @@ def hessian_bound_check(
         raise ValueError("discriminant is too close to zero")
     nk = float(np.linalg.norm(spec.k))
     nl = float(np.linalg.norm(spec.l))
-    for t in ts:
-        _check_I_kl_args(t, points_per_period)
-    geom = _trapezoids(spec)
-    measured = []
-    bound = []
-    ratios = []
-    for t in ts:
-        val = abs(_I_kl_on(spec, geom, t, points_per_period))
-        env = nk ** 1.5 * nl ** 1.5 / (t * abs(disc))
-        measured.append(val)
-        bound.append(env)
-        ratios.append(val / env)
-    return HessianReport(t_grid=tuple(ts), measured=tuple(measured),
-                         bound=tuple(bound), ratios=tuple(ratios),
-                         max_ratio=max(ratios), disc=disc)
+    measured = [abs(v) for v in I_kl(spec, ts, points_per_period).tolist()]
+    bound = [nk ** 1.5 * nl ** 1.5 / (t * abs(disc)) for t in ts]
+    return _grid_report(HessianReport, ts, measured, bound, disc=disc)
 
 
 # ---------------------------------------------------------------------------
@@ -504,12 +508,7 @@ def hessian_bound_check(
 
 
 @dataclass(frozen=True)
-class VdcReport:
-    t_grid: tuple
-    measured: tuple
-    bound: tuple
-    ratios: tuple
-    max_ratio: float
+class VdcReport(_GridReport):
     c0: float
     total_variation: float
 
@@ -556,13 +555,11 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     tv = float(np.sum(np.abs(np.diff(psv))))
     end = abs(float(psv[-1]))
 
+    nodes, wts = _leggauss(_VDC_ORDER)
     measured = []
-    bound = []
-    ratios = []
     for t in ts:
         cycles = abs(t * (phv[-1] - phv[0])) / (2.0 * math.pi)
         panels = max(4, math.ceil(cycles / 3.0))
-        nodes, wts = _leggauss(_VDC_ORDER)
         edges = np.linspace(a, b, panels + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1] - edges[0]) / 2.0
@@ -571,14 +568,7 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
         pv = _values(phi, xx)
         sv = _values(psi0, xx)
         val = np.sum(ww * sv * (np.cos(t * pv) + 1j * np.sin(t * pv)))
-        m = abs(complex(val))
-        env = (end + tv) / (c0 * t)
-        measured.append(m)
-        bound.append(env)
-        if env > 0.0:
-            ratios.append(m / env)
-        else:
-            ratios.append(0.0 if m == 0.0 else math.inf)
-    return VdcReport(t_grid=tuple(ts), measured=tuple(measured),
-                     bound=tuple(bound), ratios=tuple(ratios),
-                     max_ratio=max(ratios), c0=c0, total_variation=tv)
+        measured.append(abs(complex(val)))
+    bound = [(end + tv) / (c0 * t) for t in ts]
+    return _grid_report(VdcReport, ts, measured, bound, c0=c0,
+                        total_variation=tv)

@@ -279,6 +279,12 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("oscint", dict(OSC_BASE, t_grid=[1.0], eta=[0.3, "nan", 0.5]), CONFIG,
      "'eta[1]'"),
     ("count", {"basis": "identity", "n": 2, "t": 10 ** 400}, CONFIG, "'t'"),
+    ("count", {"basis": "identity", "n": 2, "t": 1, "t_grid": [2, 3]}, USAGE,
+     "'t' and 't_grid'"),
+    ("theorem1", dict(_THEOREM1, t=4), USAGE, "'t' and 't_grid'"),
+    ("oscint", dict(OSC_BASE, t=8.0, t_grid=[8.0]), USAGE,
+     "'t' and 't_grid'"),
+    ("vdc", dict(_VDC, t=5.0), USAGE, "'t' and 't_grid'"),
 ], ids=["count-scalar-t-grid", "theorem1-scalar-t-grid",
         "family-not-object", "center-dimension", "scalar-band",
         "short-band", "scalar-phi", "null-epsilon", "array-n",
@@ -286,7 +292,8 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
         "fractional-n", "fractional-samples", "string-hessian", "nan-s-max",
         "boolean-n", "boolean-seed", "fractional-sign", "repeated-t",
         "boolean-in-k", "null-in-psi-intervals", "boolean-in-columns",
-        "nan-string-in-eta", "int-past-float-range"])
+        "nan-string-in-eta", "int-past-float-range", "count-t-and-t-grid",
+        "theorem1-t-and-t-grid", "oscint-t-and-t-grid", "vdc-t-and-t-grid"])
 def test_malformed_config_shapes(tmp_path, capsys, command, cfg, code,
                                  message):
     assert run(tmp_path, command, cfg) == code

@@ -269,6 +269,19 @@ class TestIkl:
         with pytest.raises(ValueError, match="points_per_period"):
             I_kl(s, 8.0, points_per_period=ppp)
 
+    def test_grid_shape(self):
+        """A 2-d array of t gives a complex array of its shape, each entry
+        the scalar call's bit for bit; an empty grid is refused."""
+        s = spec3([1, 2, 1], [2, -1, 1])
+        grid = np.array([[0.0, 4.0, 8.0], [2.0, 4.0, 1.5]])
+        vals = I_kl(s, grid, points_per_period=10.0)
+        assert vals.shape == grid.shape and vals.dtype == complex
+        for t, v in zip(grid.ravel(), vals.ravel()):
+            assert v == I_kl(s, float(t), points_per_period=10.0)
+        assert type(I_kl(s, 4.0, points_per_period=10.0)) is complex
+        with pytest.raises(ValueError, match="at least one"):
+            I_kl(s, np.zeros((0, 3)))
+
     def test_resolution_budget_error(self):
         # refused from the panel counts, before any node is allocated, and
         # without overflow where the counts are too large for a float
@@ -462,6 +475,15 @@ class TestDiscriminant:
             assert abs(d - f) <= 1e-12 * scale
 
 
+# the moduli over a t grid, from the check and from I_kl's grid form
+GRID_MODULI = {
+    "hessian_bound_check": lambda s, grid, **kw: list(
+        hessian_bound_check(s, grid, **kw).measured),
+    "I_kl": lambda s, grid, **kw: [
+        abs(v) for v in I_kl(s, grid, **kw).tolist()],
+}
+
+
 class TestHessianBound:
     def test_report_shape_and_decay(self):
         s = spec3([1, 2, 1], [2, -1, 1])
@@ -471,7 +493,8 @@ class TestHessianBound:
         assert all(b > 0 for b in rep.bound)
         assert rep.max_ratio == max(rep.ratios)
 
-    def test_geometry_built_once_per_check(self, monkeypatch):
+    @pytest.mark.parametrize("moduli", GRID_MODULI.values(), ids=GRID_MODULI)
+    def test_geometry_built_once_per_check(self, monkeypatch, moduli):
         """One set of trapezoids serves the whole grid, and each value is
         I_kl's at that t, bit for bit."""
         s = spec3([1, 2, 1], [2, -1, 1])
@@ -484,19 +507,21 @@ class TestHessianBound:
             return _trapezoids(spec)
 
         monkeypatch.setattr(oscillatory, "_trapezoids", counted)
-        rep = hessian_bound_check(s, grid, points_per_period=10.0)
+        measured = moduli(s, grid, points_per_period=10.0)
         assert built == [s]
-        assert list(rep.measured) == expected
+        assert measured == expected
 
+    @pytest.mark.parametrize("moduli", GRID_MODULI.values(), ids=GRID_MODULI)
     @pytest.mark.parametrize("t", [math.inf, math.nan])
-    def test_non_finite_t_refused_before_geometry(self, monkeypatch, t):
+    def test_non_finite_t_refused_before_geometry(self, monkeypatch, t,
+                                                  moduli):
         def no_rule(*args):
             raise AssertionError("a rule was built")
 
         monkeypatch.setattr(oscillatory, "_trapezoids", no_rule)
         s = spec3([1, 2, 1], [2, -1, 1])
         with pytest.raises(ValueError, match="finite"):
-            hessian_bound_check(s, [8.0, t])
+            moduli(s, [8.0, t])
 
     def test_zero_discriminant_guarded(self):
         s = spec3([1, 2, 1], [1, 2, 1], signs=(1, -1))

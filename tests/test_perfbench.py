@@ -65,3 +65,22 @@ def test_oscint_gate_passes_on_cheapest_items():
     problems = gate.check_osc(latticeball, picks, outputs,
                               np.random.default_rng(1), picks_per_dim=(1, 1))
     assert problems == []
+
+
+def test_oscint_item_traces_I_kl_under_the_check():
+    """An oscint item records one I_kl span, a child of its Hessian
+    check's span, so the I_kl per-layer rows read the quadrature."""
+    fields = min(workloads.osc_inputs(np.random.default_rng(1), 8),
+                 key=workloads.osc_cost)
+    tracer = spans.Tracer(latticeball)
+    tracer.install()
+    try:
+        workloads.osc_item(latticeball, None, fields)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.take()
+    names = [s.name for s in recorded]
+    assert names.count("oscillatory.I_kl") == 1
+    check = names.index("oscillatory.hessian_bound_check")
+    child = recorded[names.index("oscillatory.I_kl")]
+    assert child.parent == check
