@@ -217,7 +217,7 @@ def _run_count(cfg: dict):
 
 def _run_theorem1(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
-    grid = sorted(_t_grid_from_config(cfg))
+    grid = sorted(_array(_require(cfg, "t_grid"), "t_grid"))
     # refuse a grid the fit cannot use before the Monte Carlo runs
     check_fit_grid(grid)
     samples = _number(_require(cfg, "samples"), "samples", int)
@@ -239,19 +239,11 @@ def _run_theorem1(cfg: dict):
         raise InputError("band must be a [low, high] pair")
     if band is not None and band[0] > band[1]:
         raise ConfigError(f"band {band} has its low end above its high end")
-    per_t = []
-    rows = []
-    for ti, t in enumerate(grid):
-        def sampler(seed, _family=family):
-            return sample_compact(_family, seed)
-        stats = mc_stats(sampler, t, samples, Seed(master, stream=ti + 1))
-        per_t.append({
-            "t": t, "samples": samples, "mean_E": stats.mean_E,
-            "rms_E": stats.rms_E, "var_E": stats.var_E,
-            "stderr_var": stats.stderr_var, "mean_count": stats.mean_count,
-        })
-        rows.append((t, stats.rms_E, stats.mean_E, stats.var_E, samples))
-    fit = fit_scaling_exponent([(p["t"], p["rms_E"]) for p in per_t])
+    stats = mc_stats(lambda seed: sample_compact(family, seed), grid, samples,
+                     Seed(master, stream=1))
+    per_t = [dataclasses.asdict(s) for s in stats]
+    rows = [(s.t, s.rms_E, s.mean_E, s.var_E, s.samples) for s in stats]
+    fit = fit_scaling_exponent([(s.t, s.rms_E) for s in stats])
     out = {
         "n": n,
         "seed": master,
@@ -411,8 +403,8 @@ def _run_vdc(cfg: dict):
 # each subcommand's body and the top-level config keys it reads
 _COMMANDS = {
     "count": (_run_count, {"basis", "n", "t", "t_grid"}),
-    "theorem1": (_run_theorem1, {"n", "t", "t_grid", "samples", "seed",
-                                 "family", "band"}),
+    "theorem1": (_run_theorem1, {"n", "t_grid", "samples", "seed", "family",
+                                 "band"}),
     "theorem2": (_run_theorem2, {"n", "t", "samples", "seed"}),
     "cn": (_run_cn, {"n"}),
     "fourier": (_run_fourier, {"n", "s_max", "points"}),

@@ -122,7 +122,6 @@ class ExperimentStats:
     var_E: float
     stderr_var: float
     mean_count: float
-    seed: Seed
 
 
 def thread_count() -> int:
@@ -132,13 +131,15 @@ def thread_count() -> int:
     return 1
 
 
-def mc_stats(sampler, t: float, samples: int, seed: Seed) -> ExperimentStats:
-    """Remainder statistics over ``samples`` independent draws.
+def mc_stats(sampler, t, samples: int, seed: Seed):
+    """Remainder statistics over ``samples`` independent draws, at the
+    radius t, or at each radius of a sequence t (then a list, in order).
 
     sampler is any callable Seed -> LatticeBasis.  Sample i always uses
-    seed.child(i); the samples are drawn in index order on the calling
-    thread, counted in one count_many batch and reduced in that order, so
-    the numbers depend only on the sampler, t, samples and seed.
+    seed.child(i).  Every radius is checked finite and nonnegative; then
+    the samples are drawn once, in index order on the calling thread, all
+    radii are counted on that block by one count_many call, and each is
+    reduced in sample order, exactly as a call at that radius alone.
 
     The volumes of the whole block are one numpy expression, the same
     IEEE operations as ball_volume per basis; count_many refuses a block
@@ -146,23 +147,26 @@ def mc_stats(sampler, t: float, samples: int, seed: Seed) -> ExperimentStats:
     """
     if samples < 2:
         raise ValueError("need at least two samples")
-    if t < 0:
-        raise ValueError("radius must be nonnegative")
+    radii = [t] if np.ndim(t) == 0 else list(t)
+    if not radii or not all(0.0 <= r < math.inf for r in radii):
+        raise ValueError("radius must be finite and nonnegative")
     bases = [sampler(seed.child(i)) for i in range(samples)]
     n = bases[0].n
     dets = np.array([X.det for X in bases])
-    vol = t ** n * unit_ball_volume(n) / np.abs(dets)
-    E = count_many(bases, t) - vol
-    counts = E + vol
-
-    mean = float(np.mean(E))
-    rms = float(np.sqrt(np.mean(E * E)))
-    var = float(np.var(E, ddof=1))
-    m4 = float(np.mean((E - mean) ** 4))
-    stderr_var = math.sqrt(max(m4 - var * var, 0.0) / samples)
-    return ExperimentStats(t=t, samples=samples, mean_E=mean, rms_E=rms,
-                           var_E=var, stderr_var=stderr_var,
-                           mean_count=float(np.mean(counts)), seed=seed)
+    block = count_many(bases, radii)
+    out = []
+    for j, r in enumerate(radii):
+        vol = r ** n * unit_ball_volume(n) / np.abs(dets)
+        E = block[:, j] - vol
+        mean = float(np.mean(E))
+        var = float(np.var(E, ddof=1))
+        m4 = float(np.mean((E - mean) ** 4))
+        out.append(ExperimentStats(
+            t=r, samples=samples, mean_E=mean,
+            rms_E=float(np.sqrt(np.mean(E * E))), var_E=var,
+            stderr_var=math.sqrt(max(m4 - var * var, 0.0) / samples),
+            mean_count=float(np.mean(E + vol))))
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def siegel_calibration(stats: ExperimentStats, n: int) -> tuple[float, float]:

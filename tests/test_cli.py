@@ -213,6 +213,27 @@ class TestTheorem1:
                "family": {"delta": -0.05, "det_floor": 0.3}}
         assert run(tmp_path, "theorem1", cfg) == CONFIG
 
+    def test_whole_grid_drawn_once(self, tmp_path, monkeypatch):
+        """theorem1 draws its samples once for every radius: one
+        mc_stats call over the grid, one sample_compact call per sample."""
+        draws, blocks = [], []
+        sample_compact, mc_stats = cli.sample_compact, cli.mc_stats
+
+        def counted_draw(*args):
+            draws.append(args)
+            return sample_compact(*args)
+
+        def counted_block(*args):
+            blocks.append(args)
+            return mc_stats(*args)
+
+        monkeypatch.setattr(cli, "sample_compact", counted_draw)
+        monkeypatch.setattr(cli, "mc_stats", counted_block)
+        cfg = dict(_THEOREM1, t_grid=[4, 6, 9, 12], samples=5)
+        assert run(tmp_path, "theorem1", cfg, out=tmp_path / "run") == OK
+        assert len(draws) == 5
+        assert len(blocks) == 1
+
     def test_center_as_basis_object(self, tmp_path):
         family = {"delta": 0.05, "det_floor": 0.3}
         cfg = {"n": 2, "t_grid": [4, 6, 9], "samples": 3, "seed": 5,
@@ -281,7 +302,7 @@ _VDC = {"phi": [0.0, 1.0], "psi0": [1.0], "a": 0.0, "b": 1.0,
     ("count", {"basis": "identity", "n": 2, "t": 10 ** 400}, CONFIG, "'t'"),
     ("count", {"basis": "identity", "n": 2, "t": 1, "t_grid": [2, 3]}, USAGE,
      "'t' and 't_grid'"),
-    ("theorem1", dict(_THEOREM1, t=4), USAGE, "'t' and 't_grid'"),
+    ("theorem1", dict(_THEOREM1, t=4), USAGE, "reads no config key 't'"),
     ("oscint", dict(OSC_BASE, t=8.0, t_grid=[8.0]), USAGE,
      "'t' and 't_grid'"),
     ("vdc", dict(_VDC, t=5.0), USAGE, "'t' and 't_grid'"),
@@ -362,9 +383,10 @@ class TestConfigKeys:
          "points_per_axis"),
         ("fourier", {"n": 3, "s_grid": [0.0, 1.0]}, "s_grid"),
         ("count", {"basis": "identity", "n": 2, "t": 2.0, "seed": 1}, "seed"),
+        ("theorem1", {"n": 2, "t": 4, "samples": 2, "family": _FAMILY}, "t"),
     ], ids=["cn-tol", "sandwich-tail-target", "theorem2-ratio-bound",
             "vdc-grid-points", "oscint-points-per-axis", "fourier-s-grid",
-            "count-seed"])
+            "count-seed", "theorem1-t"])
     def test_unread_key_refused_before_running(self, tmp_path, capsys,
                                                monkeypatch, command, cfg,
                                                key):

@@ -144,11 +144,42 @@ class TestMcStats:
             t=t, samples=m, mean_E=mean,
             rms_E=float(np.sqrt(np.mean(E * E))), var_E=var,
             stderr_var=math.sqrt(max(m4 - var * var, 0.0) / m),
-            mean_count=float(np.mean(E + vol)), seed=seed)
+            mean_count=float(np.mean(E + vol)))
         stats = mc_stats(sampler, t, m, seed)
         for field in dataclasses.fields(ExperimentStats):
             assert (getattr(stats, field.name)
                     == getattr(expected, field.name)), field.name
+
+    def test_grid_entries_match_one_radius_calls(self):
+        """Each radius of a grid, in any order, gives bit for bit the
+        statistics of a call at that radius alone."""
+        config = HaarSamplerConfig(n=3)
+
+        def sampler(seed):
+            return sample_haar_unimodular(config, seed)
+
+        grid, m, seed = [7.3, 8.0, 2.0], 60, Seed(17, 1)
+        stats = mc_stats(sampler, grid, m, seed)
+        assert isinstance(stats, list) and len(stats) == len(grid)
+        for t, entry in zip(grid, stats):
+            alone = mc_stats(sampler, t, m, seed)
+            assert isinstance(alone, ExperimentStats)
+            for field in dataclasses.fields(ExperimentStats):
+                assert (getattr(entry, field.name)
+                        == getattr(alone, field.name)), (t, field.name)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_bad_radius_refused_before_drawing(self, bad, where):
+        def sampler(seed):
+            raise AssertionError("sampler called")
+
+        grid = [2.0, 3.0, 4.0]
+        grid[where] = bad
+        with pytest.raises(ValueError, match="radius"):
+            mc_stats(sampler, grid, 10, Seed(1, 0))
+        with pytest.raises(ValueError, match="radius"):
+            mc_stats(sampler, bad, 10, Seed(1, 0))
 
     def test_mixed_dimensions_refused(self):
         def sampler(seed):
