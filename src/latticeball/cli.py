@@ -261,16 +261,12 @@ def _run_theorem1(cfg: dict):
 
 def _run_theorem2(cfg: dict):
     n = _number(_require(cfg, "n"), "n", int)
-    if n != 3:
-        raise ConfigError("theorem2 supports n = 3 only (the second-moment "
-                          "constant needs n >= 3 and the Haar sampler tops "
-                          "out at 3)")
+    config = HaarSamplerConfig(n=n)
     t = _number(_require(cfg, "t"), "t")
     if t < 2.0:
         raise ConfigError("theorem2 requires t >= 2")
     samples = _number(_require(cfg, "samples"), "samples", int)
     master = _seed(cfg)
-    config = HaarSamplerConfig(n=n)
 
     def sampler(seed):
         return sample_haar_unimodular(config, seed)

@@ -590,13 +590,16 @@ def sandwich_check(basis: LatticeBasis, t: float,
     stopped with their margins at least -T (proven when the rule is
     "margin", to within T when it is "target"), and "inconclusive", with
     holds = None, when a sum reaches _max_cutoff(n) without stopping.  A
-    non-finite t or epsilon, or a nonpositive epsilon, is rejected before
-    any shell is summed.
+    non-finite t or epsilon, a nonpositive epsilon, or a basis of
+    dimension outside {2, 3} (no closed form for hat_chi_ball) is
+    rejected before the exact count.
     """
     if not (math.isfinite(t) and math.isfinite(epsilon)):
         raise ValueError("t and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if basis.n not in (2, 3):
+        raise ValueError("closed forms are implemented for n in {2, 3}")
     sigma = float(np.linalg.norm(basis.entries, 2))
     shift = epsilon * math.sqrt(basis.n) * sigma
     if t - shift <= 0:

@@ -9,39 +9,31 @@ independently and results never depend on evaluation order.  rng_for
 builds a fresh generator per call, keyed without the OS-entropy draw
 that numpy's ``key=`` argument makes and then discards.
 
-Haar sampling:
+Haar sampling (n = 3 only) draws Iwasawa coordinates on the classical
+Siegel set (eta in [-1/2, 1/2]^3, successive diagonal ratios >=
+sqrt(3)/2).  Writing s1, s2 for the log ratios of consecutive diagonal
+entries of A, the invariant measure on the determinant-one slice
+restricted to that set factors as exp(-2 s1 - 2 s2) ds1 ds2 times
+Lebesgue in eta times Haar on the rotation, so s1 and s2 are independent
+shifted exponentials and no rejection is needed.  The Siegel set covers
+the space of lattices with multiplicity >= 1, and no draw is weighted by
+its multiplicity, so the sampler does not draw from Haar measure.
+Measured against Siegel's mean V + 1 over 2e5 draws, its mean count
+falls short by 22.5 % at t = 0.6 and by 1.2 % at t = 2: an undercount
+concentrated at small radii.  The mean-count calibration against the
+Siegel formula at t = 8 cannot see a bias that small there, and the
+variance experiment refuses to report only when that calibration fails.
+ROADMAP item 1 describes the exact fix (accept a draw with probability 4
+over its multiplicity).
 
-* n = 2 is exact.  A unimodular lattice is K * [[1, x], [0, y]] / sqrt(y)
-  with (x, y) in the modular fundamental domain |x| <= 1/2, x^2 + y^2 >= 1
-  under the hyperbolic density 1/y^2, and K a random rotation.  Proposals
-  come from the slab y >= sqrt(3)/2 (y drawn by inverse CDF of 1/y^2)
-  and are accepted when |tau| >= 1; about 9% are rejected.
-
-* n = 3 samples Iwasawa coordinates on the classical Siegel set
-  (eta in [-1/2, 1/2]^3, successive diagonal ratios >= sqrt(3)/2).
-  Writing s1, s2 for the log ratios of consecutive diagonal entries of
-  A, the invariant measure on the determinant-one slice restricted to
-  that set factors as exp(-2 s1 - 2 s2) ds1 ds2 times Lebesgue in eta
-  times Haar on the rotation, so s1 and s2 are independent shifted
-  exponentials and no rejection is needed.  The Siegel set covers the
-  space of lattices with multiplicity >= 1, and no draw is weighted by
-  its multiplicity, so the sampler does not draw from Haar measure.
-  Measured against Siegel's mean V + 1 over 2e5 draws, its mean count
-  falls short by 22.5 % at t = 0.6 and by 1.2 % at t = 2: an undercount
-  concentrated at small radii.  The mean-count calibration against the
-  Siegel formula at t = 8 cannot see a bias that small there, and the
-  variance experiment refuses to report only when that calibration
-  fails.  ROADMAP item 1 describes the exact fix (accept a draw with
-  probability 4 over its multiplicity).
-
-Both samplers build their 2 x 2 or 3 x 3 basis in Python floats rather
-than through per-draw LAPACK calls, which cost more than the arithmetic
-at this size.  The n = 3 rotation is Gram-Schmidt on the columns of a
-Gaussian matrix, the same K as a QR factorisation with positive R
-diagonal; X = K A N is formed entry by entry and its determinant by
-cofactors.  Against the LAPACK construction on the same draws, entries
-differ in the last few bits (at most 4.4e-14 relative on 2e4 draws, from
-Householder against Gram-Schmidt rounding), and counts are identical.
+The sampler builds its 3 x 3 basis in Python floats rather than through
+per-draw LAPACK calls, which cost more than the arithmetic at this size.
+The rotation is Gram-Schmidt on the columns of a Gaussian matrix, the
+same K as a QR factorisation with positive R diagonal; X = K A N is
+formed entry by entry and its determinant by cofactors.  Against the
+LAPACK construction on the same draws, entries differ in the last few
+bits (at most 4.4e-14 relative on 2e4 draws, from Householder against
+Gram-Schmidt rounding), and counts are identical.
 """
 
 from __future__ import annotations
@@ -178,11 +170,14 @@ def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
 
 @dataclass(frozen=True)
 class HaarSamplerConfig:
+    """Settings of the Siegel-set sampler; n = 3 is the only dimension."""
+
     n: int
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError("Haar sampling is implemented for n in {2, 3}")
+        if self.n != 3:
+            raise ValueError(f"Haar sampling is implemented for n = 3 "
+                             f"only, got n = {self.n}")
 
 
 def _unit(v: tuple) -> tuple:
@@ -218,50 +213,32 @@ def _so3_columns(z: list) -> tuple:
     return u, v, w
 
 
-def _sample_fundamental_tau(gen: np.random.Generator) -> tuple[float, float]:
-    y0 = SIEGEL_RATIO
-    for _ in range(_MAX_REJECT):
-        x = gen.uniform(-0.5, 0.5)
-        y = y0 / (1.0 - gen.uniform())
-        if x * x + y * y >= 1.0:
-            return x, y
-    raise RejectionBudgetError("fundamental-domain rejection stalled")
-
-
 def sample_haar_unimodular(config: HaarSamplerConfig,
                            seed: Seed) -> LatticeBasis:
+    """A unimodular 3 x 3 basis drawn from the Siegel set under the
+    invariant measure, one draw per seed.  Draws are not weighted by
+    their multiplicity, so this is not exactly Haar (ROADMAP item 1)."""
     gen = rng_for(seed)
-    if config.n == 2:
-        x, y = _sample_fundamental_tau(gen)
-        theta = gen.uniform(0.0, 2.0 * math.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        # K times the shape [[1, x], [0, y]] / sqrt(y)
-        h = math.sqrt(y)
-        p, q, r = 1.0 / h, x / h, y / h
-        rows = [[c * p, c * q - s * r],
-                [s * p, s * q + c * r]]
-        d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    else:
-        s_min = math.log(SIEGEL_RATIO)
-        s1 = s_min + gen.exponential(0.5)
-        s2 = s_min + gen.exponential(0.5)
-        v1 = (4.0 * s1 + 2.0 * s2) / 3.0
-        v2 = (2.0 * s2 - 2.0 * s1) / 3.0
-        e0, e1, e2 = gen.uniform(-0.5, 0.5, 3).tolist()
-        u, v, w = _so3_columns(gen.standard_normal((3, 3)).ravel().tolist())
-        # K A: column j of K scaled by A[j, j] = 1 / sqrt(a[j])
-        b0 = 1.0 / math.sqrt(math.exp(v1))
-        b1 = 1.0 / math.sqrt(math.exp(v2))
-        b2 = 1.0 / math.sqrt(math.exp(-v1 - v2))
-        # then (K A) N, N unit upper triangular with eta = (e0, e1, e2)
-        rows = []
-        for ui, vi, wi in zip(u, v, w):
-            p, q, r = b0 * ui, b1 * vi, b2 * wi
-            rows.append([p, p * e0 + q, p * e1 + q * e2 + r])
-        (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = rows
-        d = (x00 * (x11 * x22 - x12 * x21)
-             - x01 * (x10 * x22 - x12 * x20)
-             + x02 * (x10 * x21 - x11 * x20))
+    s_min = math.log(SIEGEL_RATIO)
+    s1 = s_min + gen.exponential(0.5)
+    s2 = s_min + gen.exponential(0.5)
+    v1 = (4.0 * s1 + 2.0 * s2) / 3.0
+    v2 = (2.0 * s2 - 2.0 * s1) / 3.0
+    e0, e1, e2 = gen.uniform(-0.5, 0.5, 3).tolist()
+    u, v, w = _so3_columns(gen.standard_normal((3, 3)).ravel().tolist())
+    # K A: column j of K scaled by A[j, j] = 1 / sqrt(a[j])
+    b0 = 1.0 / math.sqrt(math.exp(v1))
+    b1 = 1.0 / math.sqrt(math.exp(v2))
+    b2 = 1.0 / math.sqrt(math.exp(-v1 - v2))
+    # then (K A) N, N unit upper triangular with eta = (e0, e1, e2)
+    rows = []
+    for ui, vi, wi in zip(u, v, w):
+        p, q, r = b0 * ui, b1 * vi, b2 * wi
+        rows.append([p, p * e0 + q, p * e1 + q * e2 + r])
+    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = rows
+    d = (x00 * (x11 * x22 - x12 * x21)
+         - x01 * (x10 * x22 - x12 * x20)
+         + x02 * (x10 * x21 - x11 * x20))
     for row in rows:
         row[-1] /= d
     basis = LatticeBasis(rows)

@@ -449,9 +449,14 @@ class TestTheorem2:
         assert run(tmp_path, "theorem2",
                    {"n": 3, "t": 1.0, "samples": 10}) == CONFIG
 
-    def test_dimension_must_be_three(self, tmp_path):
+    def test_dimension_must_be_three(self, tmp_path, capsys, monkeypatch):
+        def no_draw(config, seed):
+            raise AssertionError("a basis was drawn")
+
+        monkeypatch.setattr(cli, "sample_haar_unimodular", no_draw)
         assert run(tmp_path, "theorem2",
                    {"n": 2, "t": 5.0, "samples": 10}) == CONFIG
+        assert "n = 3" in capsys.readouterr().err
 
     def test_biased_sampler_fails_calibration(self, tmp_path, capsys,
                                               monkeypatch):

@@ -790,6 +790,18 @@ class TestSandwich:
         assert abs(res.lower - res.count) <= res.lower_tail < 1e-3
         assert abs(res.upper - res.count) <= res.upper_tail < 1e-3
 
+    def test_dimension_without_closed_form_refused_before_counting(
+            self, monkeypatch):
+        """hat_chi_ball has closed forms for n = 2 and 3 only, so a Z^4
+        check is refused before its exact count, whose cost grows like
+        t^4."""
+        def no_count(*args):
+            raise AssertionError("the exact count was made")
+
+        monkeypatch.setattr(fourier, "count_points", no_count)
+        with pytest.raises(ValueError, match="n in {2, 3}"):
+            sandwich_check(identity_basis(4), 300.0, 0.1)
+
     def test_wrong_count_is_violated(self, monkeypatch):
         """A count two too low sits two below the lower sum, far beyond a
         tail under the target: a proven violation."""

@@ -11,13 +11,12 @@ import pytest
 
 import latticeball
 from latticeball.basis import LatticeBasis
-from latticeball.counting import count_many, count_points
+from latticeball.counting import count_many
 from latticeball.sampling import (
     SIEGEL_RATIO,
     CompactFamilySpec,
     HaarSamplerConfig,
     Seed,
-    _sample_fundamental_tau,
     _so3_columns,
     rng_for,
     sample_compact,
@@ -140,52 +139,13 @@ class TestSampleCompact:
         assert again.delta == spec.delta
 
 
-class TestHaar2d:
-    config = HaarSamplerConfig(n=2)
-
-    def test_unit_determinant(self):
-        for i in range(100):
-            X = sample_haar_unimodular(self.config, Seed(2, i))
-            assert abs(X.det - 1.0) < 1e-12
-
-    def test_height_distribution_moments(self):
-        # the modular height y of tau = x + iy is the ratio of the QR
-        # diagonal, r22 / r11 = |det X| / |x1|^2 with x1 the first
-        # column.  Two closed-form calibrations:
-        # E[1/y] = 3 ln 3 / (2 pi), and P(y > c) = 3/(pi c) for c >= 1.
-        # The height itself has no finite mean under the hyperbolic
-        # measure (harmonic tail), so the reciprocal moment is the
-        # honest substitute for a mean-of-y check.
-        M = 60_000
-        c = 25.0
-        total = 0.0
-        hits = 0
-        for i in range(M):
-            X = sample_haar_unimodular(self.config, Seed(4, i))
-            x1 = X.entries[:, 0]
-            y = abs(X.det) / float(x1 @ x1)
-            total += 1.0 / y
-            hits += y > c
-        mean = total / M
-        target = 3.0 * math.log(3.0) / (2.0 * math.pi)
-        # 1/y is bounded by 2/sqrt(3); 3 sigma at 60k is well under 0.01
-        assert mean == pytest.approx(target, abs=0.01)
-        p_target = 3.0 / (math.pi * c)
-        sigma = math.sqrt(p_target * (1.0 - p_target) / M)
-        assert abs(hits / M - p_target) < 4.0 * sigma + 1e-12
-
-    def test_rotation_does_not_change_counts(self):
-        for i in range(20):
-            X = sample_haar_unimodular(self.config, Seed(6, i))
-            theta = 0.7
-            K = np.array([[math.cos(theta), -math.sin(theta)],
-                          [math.sin(theta), math.cos(theta)]])
-            Y = LatticeBasis(K @ X.entries)
-            assert count_points(Y, 3.0) == count_points(X, 3.0)
-
-
 class TestHaar3d:
     config = HaarSamplerConfig(n=3)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_other_dimensions_refused(self, n):
+        with pytest.raises(ValueError, match="n = 3"):
+            HaarSamplerConfig(n=n)
 
     def test_unit_determinant(self):
         for i in range(100):
@@ -218,34 +178,26 @@ class TestHaar3d:
         assert abs(resid) <= 3.0 * stderr
 
 
-def _lapack_reference(n, seed):
+def _lapack_reference(seed):
     """The basis built with numpy's QR and matrix products from the same
     draws, in the same order, as sample_haar_unimodular; returns the
     rotation K and the basis entries."""
     gen = rng_for(seed)
-    if n == 2:
-        x, y = _sample_fundamental_tau(gen)
-        shape = np.array([[1.0, x], [0.0, y]]) / math.sqrt(y)
-        theta = gen.uniform(0.0, 2.0 * math.pi)
-        K = np.array([[math.cos(theta), -math.sin(theta)],
-                      [math.sin(theta), math.cos(theta)]])
-        X = K @ shape
-    else:
-        s_min = math.log(SIEGEL_RATIO)
-        s1 = s_min + gen.exponential(0.5)
-        s2 = s_min + gen.exponential(0.5)
-        v1 = (4.0 * s1 + 2.0 * s2) / 3.0
-        v2 = (2.0 * s2 - 2.0 * s1) / 3.0
-        a = np.array([math.exp(v1), math.exp(v2), math.exp(-v1 - v2)])
-        eta = gen.uniform(-0.5, 0.5, 3)
-        N = np.array([[1.0, eta[0], eta[1]],
-                      [0.0, 1.0, eta[2]],
-                      [0.0, 0.0, 1.0]])
-        Q, R = np.linalg.qr(gen.standard_normal((3, 3)))
-        K = Q * np.sign(np.diag(R))
-        if np.linalg.det(K) < 0:
-            K[:, 0] = -K[:, 0]
-        X = K @ np.diag(1.0 / np.sqrt(a)) @ N
+    s_min = math.log(SIEGEL_RATIO)
+    s1 = s_min + gen.exponential(0.5)
+    s2 = s_min + gen.exponential(0.5)
+    v1 = (4.0 * s1 + 2.0 * s2) / 3.0
+    v2 = (2.0 * s2 - 2.0 * s1) / 3.0
+    a = np.array([math.exp(v1), math.exp(v2), math.exp(-v1 - v2)])
+    eta = gen.uniform(-0.5, 0.5, 3)
+    N = np.array([[1.0, eta[0], eta[1]],
+                  [0.0, 1.0, eta[2]],
+                  [0.0, 0.0, 1.0]])
+    Q, R = np.linalg.qr(gen.standard_normal((3, 3)))
+    K = Q * np.sign(np.diag(R))
+    if np.linalg.det(K) < 0:
+        K[:, 0] = -K[:, 0]
+    X = K @ np.diag(1.0 / np.sqrt(a)) @ N
     X[:, -1] /= np.linalg.det(X)
     return K, X
 
@@ -268,23 +220,23 @@ class TestScalarConstruction:
     def test_rotation_matches_qr(self):
         for i in range(2000):
             K = np.array(_so3_columns(_gaussians(Seed(30, i)).ravel().tolist())).T
-            K_ref, _ = _lapack_reference(3, Seed(30, i))
+            K_ref, _ = _lapack_reference(Seed(30, i))
             assert np.max(np.abs(K - K_ref)) <= 1e-12, i
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [3])
     def test_basis_matches_reference(self, n):
         config = HaarSamplerConfig(n=n)
         for i in range(2000):
             X = sample_haar_unimodular(config, Seed(30, i)).entries
-            _, X_ref = _lapack_reference(n, Seed(30, i))
+            _, X_ref = _lapack_reference(Seed(30, i))
             scale = np.max(np.abs(X_ref))
             assert np.max(np.abs(X - X_ref)) <= 1e-12 * scale, i
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [3])
     def test_counts_match_reference(self, n):
         config = HaarSamplerConfig(n=n)
         seeds = [Seed(31, i) for i in range(20_000)]
         bases = [sample_haar_unimodular(config, s) for s in seeds]
-        refs = [LatticeBasis(_lapack_reference(n, s)[1]) for s in seeds]
+        refs = [LatticeBasis(_lapack_reference(s)[1]) for s in seeds]
         for t in (0.6, 2.0, 8.0):
             assert np.array_equal(count_many(bases, t), count_many(refs, t)), t
