@@ -42,17 +42,20 @@ least the terms they would get alone and may differ in the last bit.
 The integer points of the shells up to _CACHED_SHELLS are built once per
 process.
 
-Every sum carries a proven tail.  Past shell C every frequency has
-|X^{-T} k| >= sigma (C + 1), where sigma = 1/||X||_2 is the smallest
-singular value of X^{-T}, so at radius r
+Every sum carries a proven tail.  Every frequency k on shell c has
+|X^{-T} k| >= sigma c, where sigma = 1/||X||_2 is the smallest singular
+value of X^{-T}.  rho0_hat >= 0, so the mollifier mass of all of shell c
+is exactly m_c = G_c^n - G_(c-1)^n with G_c = 1 + 2 sum_{k=1..c}
+rho0_hat(epsilon k), and at radius r, with a table length K >= C,
 
-    T = (r^n/|det|) env(r sigma (C + 1)) ((G_C + 2H)^n - G_C^n) + R
+    T = (r^n/|det|) [sum_{c=C+1..K} env(r sigma c) m_c
+                     + env(r sigma (K + 1)) ((G_K + 2H)^n - G_K^n)] + R'
 
-bounds everything the sum leaves out.  env(s) bounds |hat_chi_ball(n, s')|
-for all s' >= s: 1/(pi s^2) + 1/(2 pi^2 s^3) for n = 3 and
-M(2 pi s)/s for n = 2, with M(x) >= sqrt(J1^2 + Y1^2)(x) >= |J1(x)| from
-Nicholson's formula (Watson, Bessel Functions, 13.73), cosh 2t =
-1 + 2 sinh^2 t and the substitution u = sinh t:
+bounds everything the sum leaves out after shell C.  env(s) bounds
+|hat_chi_ball(n, s')| for all s' >= s: 1/(pi s^2) + 1/(2 pi^2 s^3) for
+n = 3 and M(2 pi s)/s for n = 2, with M(x) >= sqrt(J1^2 + Y1^2)(x) >=
+|J1(x)| from Nicholson's formula (Watson, Bessel Functions, 13.73),
+cosh 2t = 1 + 2 sinh^2 t and the substitution u = sinh t:
 
     J1^2 + Y1^2 = (8/pi^2) int_0^inf K0(2x u) (1 + 2u^2)/sqrt(1 + u^2) du
                 <= (8/pi^2) int_0^inf K0(2x u) (1 + 3u^2/2) du
@@ -60,10 +63,12 @@ Nicholson's formula (Watson, Bessel Functions, 13.73), cosh 2t =
 
 since (1 + 2u^2)^2 <= (1 + u^2)(1 + 3u^2/2)^2 and
 int_0^inf u^j K0(a u) du is pi/(2a) for j = 0 and pi/(2a^3) for j = 2.
-M decreases, so each tail stays a proof.  G_C = sum_{|k| <= C}
-g(epsilon k), and H = (4/(pi epsilon))^8 (a^-8 + a^-7/7) with a = C + 1
-bounds sum_{k > C} g(epsilon k).  R allows for the rounding of the float
-sums.
+M decreases, so each tail stays a proof.  Past the table the shells share
+the envelope of shell K + 1, and their mass is at most
+(G_K + 2H)^n - G_K^n: H = g(epsilon a) + (4/(pi epsilon))^8 a^-7/7 with
+a = K + 1 bounds sum_{k > K} g(epsilon k) >= sum_{k > K}
+rho0_hat(epsilon k).  R' allows for the rounding of the float sums and
+of the table (_tail_table, _poisson_sums).
 The sandwich counts exactly before it sums, so each of its two sums stops
 at the first shell whose proven tail is below its margin (count - lower
 or upper - count), or, where the margin is too thin for that, at the
@@ -200,24 +205,39 @@ def hat_chi_ball(n: int, s):
         raise ValueError("closed forms are implemented for n in {2, 3}")
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    s = np.abs(np.atleast_1d(s))
+    # a new array, so the work below may overwrite it
+    sb = np.abs(np.atleast_1d(s))
+    st = None
+    if np.fmin.reduce(sb, axis=None, initial=math.inf) < _SMALL_S:
+        tiny = sb < _SMALL_S
+        st = sb[tiny]
     # the closed form runs on every argument, the tiny ones lifted to
     # _SMALL_S so that s = 0 divides by nothing; their values are then
     # overwritten by the series.  Past about 5.7e102 (n = 3) s^3
     # overflows to inf and its term to the right 0, so overflow is quiet
-    sb = np.maximum(s, _SMALL_S)
+    np.maximum(sb, _SMALL_S, out=sb)
     with np.errstate(over="ignore"):
         if n == 3:
+            # -cos(u) / (pi sb sb) + sin(u) / (2 pi^2 sb^3) with u =
+            # 2 pi sb, each operation as written, in four arrays of the
+            # arguments' size: on large shells the temporaries of the
+            # plain expression set a sandwich check's peak memory
             u = 2.0 * math.pi * sb
-            out = (-np.cos(u) / (math.pi * sb * sb)
-                   + np.sin(u) / (2.0 * math.pi ** 2 * sb ** 3))
+            out = np.cos(u)
+            np.negative(out, out=out)
+            den = math.pi * sb
+            den *= sb
+            out /= den
+            np.sin(u, out=u)
+            np.power(sb, 3, out=den)
+            np.multiply(2.0 * math.pi ** 2, den, out=den)
+            u /= den
+            out += u
         else:
             # J1 in numpy: scipy.special would cost about 0.3 s and 25 MB
             # on first use, inside the first n = 2 call
             out = _j1(2.0 * math.pi * sb) / sb
-    if np.fmin.reduce(s, axis=None, initial=math.inf) < _SMALL_S:
-        tiny = s < _SMALL_S
-        st = s[tiny]
+    if st is not None:
         if n == 3:
             u2 = (2.0 * math.pi * st) ** 2
             # (u^2/3 - u^4/30 + u^6/840 - u^8/45360) / (pi s^2)
@@ -232,22 +252,27 @@ def hat_chi_ball(n: int, s):
     return float(out[0]) if scalar else out
 
 
-def _ball_envelope(n: int, s: float) -> float:
+def _ball_envelope(n: int, s):
     """env(s) >= |hat_chi_ball(n, s')| for every s' >= s > 0, decreasing
-    in s.
+    in s, at a float or at each element of an array.
 
     n = 3: 1/(pi s^2) + 1/(2 pi^2 s^3), the closed form with |cos| and
     |sin| bounded by 1.  n = 2: M(2 pi s)/s with M(x)^2 =
     (2/(pi x))(1 + 3/(8 x^2)) >= J1^2 + Y1^2 >= J1^2, the Nicholson bound
     of the module docstring.  Both are capped at the unit-ball volume,
-    hat_chi_ball's value at 0 and the largest it takes.
+    hat_chi_ball's value at 0 and the largest it takes.  Only products,
+    quotients, sums and a square root, so a float and an array element
+    give the same bits.
     """
+    s = np.asarray(s, dtype=float)
     if n == 3:
-        env = 1.0 / (math.pi * s * s) + 1.0 / (2.0 * math.pi ** 2 * s ** 3)
+        env = (1.0 / (math.pi * s * s)
+               + 1.0 / (2.0 * math.pi ** 2 * (s * s * s)))
     else:
         x = 2.0 * math.pi * s
-        env = math.sqrt(2.0 / (math.pi * x) * (1.0 + 3.0 / (8.0 * x * x))) / s
-    return min(env, unit_ball_volume(n))
+        env = np.sqrt(2.0 / (math.pi * x) * (1.0 + 3.0 / (8.0 * x * x))) / s
+    env = np.minimum(env, unit_ball_volume(n))
+    return env if env.ndim else float(env)
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +316,30 @@ def _rho0_majorant(y: float) -> float:
 
 
 def _majorant_tail(epsilon: float, a: int) -> float:
-    """H >= sum_{k >= a} g(epsilon k): the first term plus the integral of
-    (m / (2 pi epsilon x))^m from a on, (m/(2 pi epsilon))^m (a^-m +
-    a^(1-m)/(m-1))."""
+    """H >= sum_{k >= a} g(epsilon k): the first term g(epsilon a) plus the
+    integral of (m / (2 pi epsilon x))^m from a on, (m/(2 pi epsilon))^m
+    a^(1-m)/(m-1)."""
     b = (_ORDER / (2.0 * math.pi * epsilon)) ** _ORDER
-    return b * (a ** -_ORDER + a ** (1 - _ORDER) / (_ORDER - 1))
+    return _rho0_majorant(epsilon * a) + b * a ** (1 - _ORDER) / (_ORDER - 1)
 
 
-def _power_gap(g: float, d: float, n: int) -> float:
+# below this epsilon (m / (2 pi epsilon))^m, with m = _ORDER, passes 2^-8
+# times the largest float, and the proven tails may overflow
+_MIN_EPSILON = 2.0 * _ORDER / (2.0 * math.pi
+                               * np.finfo(float).max ** (1.0 / _ORDER))
+
+
+def _power_gap(g, d, n: int):
     """(g + d)^n - g^n, summed as d sum_j (g + d)^j g^(n-1-j) so that a
-    small d does not cancel away."""
-    return d * sum((g + d) ** j * g ** (n - 1 - j) for j in range(n))
+    small d does not cancel away, at floats or elementwise at arrays.  The
+    sum is taken in Horner form, by products and sums alone, so a float
+    and an array element give the same bits."""
+    h = g + d
+    acc, power = 1.0, 1.0
+    for _ in range(n - 1):
+        power = power * g
+        acc = acc * h + power
+    return d * acc
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +461,63 @@ def _shell_rho(K: np.ndarray, c: int, epsilon: float) -> np.ndarray:
     return rho
 
 
-# a generous multiple of the unit roundoff for the rounding allowance of a
+# a generous multiple of the unit roundoff for the rounding allowances of a
 # proven tail (see _poisson_sums)
 _ROUNDING = 64.0 * math.ulp(1.0)
+
+
+def _shell_masses(n: int, epsilon: float, length: int):
+    """(G_K, m) for K = ``length``: G_c = 1 + 2 sum_{k=1..c}
+    rho0_hat(epsilon k), and m[c - 1] = G_c^n - G_(c-1)^n, c = 1..K, the
+    mollifier mass prod_j rho0_hat(epsilon k_j) of all of shell c (rho0_hat
+    >= 0, so the shells 0..c together hold G_c^n).  Each m_c is taken as
+    _power_gap(G_(c-1), 2 rho0_hat(epsilon c), n), so nothing cancels."""
+    rho = _rho0_hat(epsilon * np.arange(length + 1))
+    g = np.cumsum(np.concatenate(([1.0], 2.0 * rho[1:])))
+    return float(g[-1]), _power_gap(g[:-1], 2.0 * rho[1:], n)
+
+
+def _tail_table(n: int, epsilon: float, length: int, reach):
+    """The shell-mass tail bounds of a table of length K = ``length``,
+    before the scale r^n/|det| and the allowance R of the summed terms, as
+    (bounds, env): one row per element r sigma of ``reach``, bounds[C] the
+    bound on everything past shell C (C = 0..K) and env[c - 1] =
+    env(r sigma c) (c = 1..K + 1).
+
+    With G_c = 1 + 2 sum_{k=1..c} rho0_hat(epsilon k) and shell masses
+    m_c = G_c^n - G_(c-1)^n (module docstring), bounds[C] is
+
+        A_C = sum_{c=C+1..K} env(r sigma c) m_c
+              + env(r sigma (K + 1)) ((G_K + 2H)^n - G_K^n),
+
+    with H = _majorant_tail(epsilon, K + 1), plus an allowance for the
+    table's own rounding,
+
+        _ROUNDING ((2 n K + 2) A_C + n G_K^(n-1) K env(r sigma (C + 1))).
+
+    Each float rho0_hat(epsilon k) is within _ROUNDING / 2 of the true
+    value: |sinc| <= 1 is within about 6 units of roundoff u = 2^-53
+    after the rounded argument, sine and quotient, and the 8th power
+    makes that 48 u and adds a few more.  So each G_c is within
+    2 c _ROUNDING G_c of its own (G_c >= 1), and the error of at most
+    _ROUNDING in 2 rho0_hat(epsilon c) moves m_c by at most
+    n G_c^(n-1) _ROUNDING, which summed against env over shells
+    C + 1..K is the second term, since env decreases.  The errors of
+    G_(c-1) and G_K move m_c and the last term by a relative
+    2 (n - 1) K _ROUNDING, and the envelope, the products and the K + 1
+    sums taken from the far end by less than a relative (2 K + 2)
+    _ROUNDING.
+    """
+    g_k, masses = _shell_masses(n, epsilon, length)
+    rest = _power_gap(g_k, 2.0 * _majorant_tail(epsilon, length + 1), n)
+    masses = np.append(masses, rest)
+    env = _ball_envelope(n, np.multiply.outer(reach,
+                                              np.arange(1, length + 2)))
+    # bounds[C] sums the terms of shells C + 1..K + 1, from the far end
+    bounds = np.cumsum((env * masses)[:, ::-1], axis=1)[:, ::-1]
+    bounds *= 1.0 + _ROUNDING * (2 * n * length + 2)
+    bounds += (_ROUNDING * n * g_k ** (n - 1) * length) * env
+    return bounds, env
 
 
 class PoissonSum(NamedTuple):
@@ -446,28 +538,33 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
 
     A shell's points, mollifier weights and dual norms do not depend on
     the radius, so the shells are built a block at a time (_blocks) and
-    summed at every radius still accumulating.  A block makes one
-    mollifier table up to its last shell, one pass over its dual norms
-    and one ball-transform call on the outer product of those radii and
-    the dual norms; for n = 2 that call's smallest argument sets the
-    Hankel term count of the whole block.  Every term is even in k, so
-    all of this runs on one point of each +-k pair, and a shell's sum is
-    twice its half shell's: each half shell's terms are summed on their
-    own, one radius at a time, and doubled, which is exact.  The shells are
-    walked in order, and a radius stops at its first shell that meets a
-    stop rule, so transforms computed past that shell in its block go
-    unused.
+    summed at every radius still accumulating.  A block gathers its
+    mollifier weights from rho0_hat at its last shell's coordinates, makes
+    one pass over its dual norms and one ball-transform call on the outer
+    product of those radii and the dual norms; for n = 2 that call's
+    smallest argument sets the Hankel term count of the whole block.
+    Every term is even in k, so all of this runs on one point of each +-k
+    pair, and a shell's sum is twice its half shell's: each half shell's
+    terms are summed on their own, one radius at a time, and doubled,
+    which is exact.  The shells are walked in order, and a radius stops
+    at its first shell that meets a stop rule, so transforms computed
+    past that shell in its block go unused.
 
-    The tail of radius r after shell C is the bound of the module
-    docstring plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
-    s_max kappa) M.  M bounds the absolute sum of every term added so
-    far (shell c's terms are at most (r^n/|det|) env(r sigma c) rho each),
-    s_max is the largest dual norm summed and kappa the condition number
-    of the basis.  Each term is exact to a few ulps of that bound, except
-    that its phase 2 pi r s carries a relative error of a few ulps; the
-    pairwise sum of a half shell adds at most log2 of its size ulps of M,
-    doubling it adds none, and adding C shells one after another adds C
-    more.
+    The tail of radius r after shell C is the shell-mass bound of the
+    module docstring with its table allowance (_tail_table), times
+    r^n/|det|, plus a rounding allowance R = _ROUNDING (1 + C + 2 pi r
+    s_max kappa) M for the terms summed; the two allowances make the R'
+    of the module docstring.  The table has a length K of at least twice
+    the last shell of the block being summed: it is built at the first
+    block, and again at each block whose last shell passes K/2, at twice
+    the larger of K and that shell.  M bounds the absolute sum of every
+    term added so far (shell c's terms are at most (r^n/|det|)
+    env(r sigma c) rho each), s_max is the largest dual norm summed and
+    kappa the condition number of the basis.  Each term is exact to a few
+    ulps of that bound, except that its phase 2 pi r s carries a relative
+    error of a few ulps; the pairwise sum of a half shell adds at most
+    log2 of its size ulps of M, doubling it adds none, and adding C shells
+    one after another adds C more.
 
     ``margins``, if given, holds one function per radius that maps the
     radius's value to its margin: a radius stops at the first shell whose
@@ -487,15 +584,18 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     values = [t ** n * unit_ball_volume(n) / det for t in radii]
     mass = list(values)
     scales = [t ** n / det for t in radii]
-    # envelope of |hat_chi| over the next shell, at each radius
-    envelope = [_ball_envelope(n, t * sigma) for t in radii]
     tails = [math.inf] * len(radii)
     shells = [0] * len(radii)
     rules: list[str | None] = [None] * len(radii)
-    g_sum = 1.0
     s_max = 0.0
+    length = 0
     active = list(range(len(radii)))
     for first, last in _blocks(n, cutoff):
+        if length < 2 * last:
+            length = 2 * max(length, last)
+            bounds, env = _tail_table(n, epsilon, length,
+                                      [radii[i] * sigma for i in active])
+            table = dict(zip(active, zip(bounds.tolist(), env.tolist())))
         K, Kf, starts = _block(n, first, last)
         rho = _shell_rho(K, last, epsilon)
         s = _dual_norms(Kf, W)
@@ -510,18 +610,16 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
                                    starts[1:], peaks):
             s_max = max(s_max, peak)
             rho_mass = 2.0 * float(np.add.reduce(rho[lo:hi]))
-            g_sum += 2.0 * _rho0_majorant(epsilon * c)
-            gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
             for i, terms in zip(rows, transform):
                 if rules[i] is not None:
                     continue
                 t = radii[i]
+                bound, env = table[i]
                 values[i] += 2.0 * float(np.add.reduce(terms[lo:hi]))
-                mass[i] += scales[i] * envelope[i] * rho_mass
-                envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
+                mass[i] += scales[i] * env[c - 1] * rho_mass
                 rounding = _ROUNDING * (
                     1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
-                tails[i] = scales[i] * envelope[i] * gap + rounding
+                tails[i] = scales[i] * bound[c] + rounding
                 shells[i] = c
                 if margins is not None and tails[i] < margins[i](values[i]):
                     rules[i] = "margin"
@@ -590,14 +688,20 @@ def sandwich_check(basis: LatticeBasis, t: float,
     stopped with their margins at least -T (proven when the rule is
     "margin", to within T when it is "target"), and "inconclusive", with
     holds = None, when a sum reaches _max_cutoff(n) without stopping.  A
-    non-finite t or epsilon, a nonpositive epsilon, or a basis of
-    dimension outside {2, 3} (no closed form for hat_chi_ball) is
+    non-finite t or epsilon, a nonpositive epsilon, an epsilon below
+    _MIN_EPSILON (about 7.5e-39, where the proven tail overflows), or a
+    basis of dimension outside {2, 3} (no closed form for hat_chi_ball) is
     rejected before the exact count.
     """
     if not (math.isfinite(t) and math.isfinite(epsilon)):
         raise ValueError("t and epsilon must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    if epsilon < _MIN_EPSILON:
+        raise ValueError(
+            f"epsilon {epsilon:.3g} below {_MIN_EPSILON:.3g}: the "
+            "mollifier's proven tail overflows"
+        )
     if basis.n not in (2, 3):
         raise ValueError("closed forms are implemented for n in {2, 3}")
     sigma = float(np.linalg.norm(basis.entries, 2))

@@ -567,6 +567,20 @@ class TestSandwich:
         assert message in capsys.readouterr().err
 
 
+    def test_epsilon_too_small_for_the_tail_refused(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """Below about 7.5e-39 the mollifier's tail bound (4/(pi eps))^8
+        overflows, so such an epsilon is refused before the exact count."""
+        def no_count(*args):
+            raise AssertionError("the exact count was made")
+
+        monkeypatch.setattr(fourier, "count_points", no_count)
+        cfg = {"basis": "identity", "n": 2, "t": 2.5, "epsilon": 1e-300}
+        assert run(tmp_path, "sandwich", cfg) == CONFIG
+        err = capsys.readouterr().err
+        assert "config error: epsilon 1e-300 below" in err
+
+
 class TestOscint:
     def test_values_csv(self, tmp_path):
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,7 +39,9 @@ from latticeball.fourier import (
     _rho0_majorant,
     _shell,
     _shell_points,
+    _shell_masses,
     _shell_rho,
+    _tail_table,
     hat_chi_ball,
     sandwich_check,
 )
@@ -147,6 +150,25 @@ class TestHatChiBall:
             expected[tiny] = math.pi * (1.0 - v / 2.0 + v * v / 12.0
                                         - v ** 3 / 144.0)
         assert np.array_equal(hat_chi_ball(n, s), expected)
+
+    def test_n3_in_place_bits_and_memory(self):
+        """The in-place n = 3 closed form gives the plain expression's bits
+        on a block of two radii times many dual norms, holding at most four
+        arrays of the block's size at once."""
+        rng = np.random.default_rng(5)
+        s = np.multiply.outer([2.9, 3.1], rng.uniform(0.5, 400.0, 100_000))
+        u = 2.0 * math.pi * s
+        plain = (-np.cos(u) / (math.pi * s * s)
+                 + np.sin(u) / (2.0 * math.pi ** 2 * s ** 3))
+        del u
+        tracemalloc.start()
+        try:
+            got = hat_chi_ball(3, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, plain)
+        assert peak <= 4.2 * s.nbytes
 
 
 class TestJ1:
@@ -334,35 +356,35 @@ _SHEAR2 = np.array([[0.9, -0.15], [0.2, 1.1]])
 _SHEAR3 = np.array([[1.0, 0.1, 0.0], [0.05, 0.95, 0.1], [0.0, -0.1, 1.05]])
 
 # Values of the B-spline mollifier's sums, with the shells at which the
-# lower and upper sums stopped.  The last triple stops its two radii at
-# different shells and by different rules (its upper margin, about
-# 2.5e-10, is too thin for the margin rule), so each radius's stop is
-# pinned apart.  The n = 2 values come from the numpy J1 and the
-# Nicholson envelope of the fourier module.
+# lower and upper sums stopped under the shell-mass tail.  The last triple
+# stops its two radii at different shells and by different rules (its
+# upper margin, about 3.5e-5, is too thin for the margin rule), so each
+# radius's stop is pinned apart.  The n = 2 values come from the numpy J1
+# and the Nicholson envelope of the fourier module.
 _PINNED_SANDWICH = [
-    (_SHEAR3, 2.7, 0.2, (6, 6), SandwichResult(
+    (_SHEAR3, 2.7, 0.2, (3, 3), SandwichResult(
         holds=True, status="holds", t=2.7, epsilon=0.2,
-        shift=0.3660395432662094, count=83, lower=57.04832642794749,
-        upper=116.1802202076855, lower_tail=18.640692534572334,
-        upper_tail=24.428032053890284, cutoff=6, lower_rule="margin",
+        shift=0.3660395432662094, count=83, lower=56.77916843173711,
+        upper=116.4410734647781, lower_tail=19.794784765194198,
+        upper_tail=25.913102702500066, cutoff=3, lower_rule="margin",
         upper_rule="margin")),
-    (np.eye(3), 2.5, 0.3, (4, 4), SandwichResult(
+    (np.eye(3), 2.5, 0.3, (1, 1), SandwichResult(
         holds=True, status="holds", t=2.5, epsilon=0.3,
-        shift=0.5196152422706631, count=81, lower=29.250393546835646,
-        upper=111.2801769091178, lower_tail=6.363266192041187,
-        upper_tail=9.649643520319891, cutoff=4, lower_rule="margin",
+        shift=0.5196152422706631, count=81, lower=29.0616002453661,
+        upper=110.67595525405729, lower_tail=18.163791735357997,
+        upper_tail=27.397933144570445, cutoff=1, lower_rule="margin",
         upper_rule="margin")),
-    (_SHEAR2, 2.6, 0.25, (4, 4), SandwichResult(
+    (_SHEAR2, 2.6, 0.25, (1, 1), SandwichResult(
         holds=True, status="holds", t=2.6, epsilon=0.25,
-        shift=0.39536979972681396, count=21, lower=14.448813153919158,
-        upper=28.01768159621934, lower_tail=4.278675664866004,
-        upper_tail=4.987202314363245, cutoff=4, lower_rule="margin",
+        shift=0.39536979972681396, count=21, lower=14.929027491085135,
+        upper=28.010401569407797, lower_tail=5.037713697538916,
+        upper_tail=5.871540982205394, cutoff=1, lower_rule="margin",
         upper_rule="margin")),
-    (np.eye(2), 3.7, 0.05, (41, 68), SandwichResult(
+    (np.eye(2), 3.7, 0.05, (37, 52), SandwichResult(
         holds=True, status="holds", t=3.7, epsilon=0.05,
-        shift=0.07071067811865477, count=45, lower=44.92340944293089,
-        upper=45.00000000024563, lower_tail=0.06614872589884771,
-        upper_tail=0.0009376492928259289, cutoff=68, lower_rule="margin",
+        shift=0.07071067811865477, count=45, lower=44.92348762827568,
+        upper=45.000035193558794, lower_tail=0.07068678509195803,
+        upper_tail=0.0007351726109917933, cutoff=52, lower_rule="margin",
         upper_rule="target")),
 ]
 
@@ -405,11 +427,49 @@ def far_value(basis: LatticeBasis, radius: float, epsilon: float) -> float:
     return far.value
 
 
+def _table_lengths(n: int, cutoff: int) -> dict[int, int]:
+    """The mollifier table length K in force at each shell 1..cutoff: at
+    least twice the last shell of the shell's block, doubled when it falls
+    short."""
+    lengths, length = {}, 0
+    for first, last in _blocks(n, cutoff):
+        if length < 2 * last:
+            length = 2 * max(length, last)
+        lengths.update(dict.fromkeys(range(first, last + 1), length))
+    return lengths
+
+
+def _shell_mass_tails(n: int, epsilon: float, length: int,
+                      reach: float) -> tuple[list[float], list[float]]:
+    """The shell-mass tail bound after shells 0..length at r sigma =
+    ``reach``, before the scale r^n/|det|, with its table allowance, one
+    shell at a time from the far end; and env(reach c), c = 1..length + 1.
+    """
+    rho = _rho0_hat(epsilon * np.arange(length + 1)).tolist()
+    G = [1.0]
+    for k in range(1, length + 1):
+        G.append(G[-1] + 2.0 * rho[k])
+    env = [_ball_envelope(n, reach * c) for c in range(1, length + 2)]
+    # the shells past K by the majorant tail, at the envelope of shell K + 1
+    body = env[length] * _power_gap(
+        G[length], 2.0 * _majorant_tail(epsilon, length + 1), n)
+    bodies = [body]
+    for c in range(length, 0, -1):
+        # shell c's mollifier mass is G_c^n - G_(c-1)^n
+        body += env[c - 1] * _power_gap(G[c - 1], 2.0 * rho[c], n)
+        bodies.append(body)
+    bodies.reverse()
+    a = 1.0 + _ROUNDING * (2 * n * length + 2)
+    b = _ROUNDING * n * G[length] ** (n - 1) * length
+    return [a * x + b * e for x, e in zip(bodies, env)], env
+
+
 def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
                             cutoff: int, margins=None,
                             tail_target: float = 0.0) -> list[PoissonSum]:
     """The earlier per-shell loop of fourier._poisson_sums, kept as the
-    oracle of the block pass: one ball-transform call per shell."""
+    oracle of the block pass: one ball-transform call per shell, and the
+    shell-mass tail of each shell summed term by term."""
     if margins is not None and len(margins) != len(radii):
         raise ValueError("margins needs one function per radius")
     n = basis.n
@@ -421,12 +481,11 @@ def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
     det = abs(basis.det)
     values = [t ** n * unit_ball_volume(n) / det for t in radii]
     mass = list(values)
-    # envelope of |hat_chi| over the next shell, at each radius
-    envelope = [_ball_envelope(n, t * sigma) for t in radii]
     tails = [math.inf] * len(radii)
     shells = [0] * len(radii)
     rules: list[str | None] = [None] * len(radii)
-    g_sum = 1.0
+    lengths = _table_lengths(n, cutoff)
+    tables = {}
     s_max = 0.0
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
@@ -435,20 +494,22 @@ def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
         s = _dual_norms(Kf, W)
         s_max = max(s_max, float(np.max(s)))
         rho_mass = 2.0 * float(np.sum(rho))
-        g_sum += 2.0 * _rho0_majorant(epsilon * c)
-        gap = _power_gap(g_sum, 2.0 * _majorant_tail(epsilon, c + 1), n)
         transform = hat_chi_ball(
             n, np.multiply.outer([radii[i] for i in active], s))
         for i, chi in zip(active, transform):
             t = radii[i]
+            key = (i, lengths[c])
+            if key not in tables:
+                tables[key] = _shell_mass_tails(n, epsilon, lengths[c],
+                                                t * sigma)
+            bound, env = tables[key]
             scale = t ** n / det
             half = scale * chi * rho
             values[i] += 2.0 * float(np.sum(half))
-            mass[i] += scale * envelope[i] * rho_mass
-            envelope[i] = _ball_envelope(n, t * sigma * (c + 1))
+            mass[i] += scale * env[c - 1] * rho_mass
             rounding = _ROUNDING * (
                 1.0 + c + 2.0 * math.pi * t * s_max * kappa) * mass[i]
-            tails[i] = scale * envelope[i] * gap + rounding
+            tails[i] = scale * bound[c] + rounding
             shells[i] = c
             if margins is not None and tails[i] < margins[i](values[i]):
                 rules[i] = "margin"
@@ -551,17 +612,17 @@ class TestBlockPass:
             2, got, _poisson_sums_per_shell(basis, (2.6, 2.9), 0.05, 10))
 
     def test_one_radius_stops_mid_block(self):
-        """On Z^2 at t = 3.7, eps = 0.05 the lower sum stops at shell 41,
-        inside the block of shells 39..46, and the upper sum runs on to
-        shell 68."""
-        assert (39, 46) in list(_blocks(2, 68))
+        """On Z^2 at t = 3.7, eps = 0.05 the lower sum stops at shell 37,
+        inside the block of shells 32..38, and the upper sum runs on to
+        shell 52."""
+        assert (32, 38) in list(_blocks(2, 52))
         basis = identity_basis(2)
         shift = _PINNED_SANDWICH[3][4].shift
         margins = (lambda v: 45 - v, lambda v: v - 45)
         args = (basis, (3.7 - shift, 3.7 + shift), 0.05, 10_000, margins,
                 1e-3)
         got = _poisson_sums(*args)
-        assert [sm.shells for sm in got] == [41, 68]
+        assert [sm.shells for sm in got] == [37, 52]
         assert_matches_oracle(2, got, _poisson_sums_per_shell(*args))
 
     def test_one_shell_blocks(self):
@@ -586,7 +647,7 @@ class TestBlockPass:
             n, got, _poisson_sums_per_shell(basis, (2.7,), 0.1, cutoff))
 
     def test_one_transform_call_per_block(self, monkeypatch):
-        """The pinned Z^2 check sums 68 shells in 8 blocks, one
+        """The pinned Z^2 check sums 52 shells in 7 blocks, one
         ball-transform call each; no check calls it more often than it
         sums shells."""
         calls = []
@@ -597,7 +658,7 @@ class TestBlockPass:
 
         monkeypatch.setattr(fourier, "hat_chi_ball", counted)
         res = sandwich_check(identity_basis(2), 3.7, 0.05)
-        assert res.cutoff == 68
+        assert res.cutoff == 52
         assert len(calls) <= 10
         for M, t, eps, _, _ in _PINNED_SANDWICH:
             calls.clear()
@@ -707,6 +768,114 @@ class TestProvenTail:
         eps = (0.02 if n == 2 else 0.05) + 0.28 * eps_u
         [near] = _poisson_sums(basis, (t,), eps, cutoff)
         assert abs(near.value - far_value(basis, t, eps)) <= near.tail
+
+
+class TestShellMassTail:
+    """The tail of the Poisson sums from the mollifier's exact shell
+    masses."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3, 1.7])
+    def test_mass_is_the_full_shell_sum(self, n, epsilon):
+        """m_c is twice the half shell's sum of the mollifier transform,
+        to rounding, on cached shells and past the cache."""
+        _, masses = _shell_masses(n, epsilon, 25)
+        for c in (1, 7, 24, 25):
+            K, _ = _shell(n, c)
+            full = 2.0 * math.fsum(_shell_rho(K, c, epsilon))
+            assert masses[c - 1] == pytest.approx(full, rel=1e-13)
+
+    @pytest.mark.parametrize("n, epsilon, reach", [
+        (2, 0.05, 3.6), (2, 0.3, 0.8), (3, 0.02, 4.0), (3, 0.3, 2.1)])
+    def test_table_within_its_allowance(self, n, epsilon, reach):
+        """Each float bound is at least the exact shell-mass bound,
+        recomputed in mpmath at 40 digits, and above it by at most twice
+        its rounding allowance."""
+        mpmath = pytest.importorskip("mpmath")
+        length = 40
+        bounds, env = _tail_table(n, epsilon, length, [reach])
+        with mpmath.workdps(40):
+            mp = mpmath.mpf
+            eps = mp(epsilon)
+            rho = [mpmath.sincpi(eps * k / 4) ** 8 for k in range(length + 1)]
+            G = [mp(1)]
+            for k in range(1, length + 1):
+                G.append(G[-1] + 2 * rho[k])
+
+            def envelope(c):
+                s = mp(reach) * c
+                if n == 3:
+                    value = (1 / (mpmath.pi * s ** 2)
+                             + 1 / (2 * mpmath.pi ** 2 * s ** 3))
+                    return min(value, 4 * mpmath.pi / 3)
+                x = 2 * mpmath.pi * s
+                value = mpmath.sqrt(2 / (mpmath.pi * x)
+                                    * (1 + 3 / (8 * x ** 2))) / s
+                return min(value, mpmath.pi)
+
+            a = length + 1
+            b = (4 / (mpmath.pi * eps)) ** 8
+            H = min(1, b / mp(a) ** 8) + b / mp(a) ** 7 / 7
+            exact = envelope(a) * ((G[-1] + 2 * H) ** n - G[-1] ** n)
+            for C in range(length, -1, -1):
+                allowance = _ROUNDING * ((2 * n * length + 2) * exact
+                                         + n * G[-1] ** (n - 1) * length
+                                         * envelope(C + 1))
+                assert exact <= bounds[0][C] <= exact + 2 * allowance
+                assert env[0][C] == pytest.approx(float(envelope(C + 1)),
+                                                  rel=1e-15)
+                if C:
+                    exact += envelope(C) * (G[C] ** n - G[C - 1] ** n)
+
+    @pytest.mark.parametrize("M, t, eps, last", [
+        p[:3] + (last,) for p, last in zip(_PINNED_SANDWICH, (6, 4, 4, 68))])
+    def test_at_most_the_majorant_tail(self, M, t, eps, last):
+        """After every shell C that the earlier majorant tail summed on
+        the pinned checks (up to its last stop shell), at both radii, the
+        tail is at most that bound, (r^n/|det|) env(r sigma (C + 1))
+        ((G'_C + 2H')^n - G'_C^n), with G'_C the sum of g(eps k) over
+        |k| <= C and H' = (4/(pi eps))^8 (a^-8 + a^-7/7) at a = C + 1."""
+        basis = LatticeBasis(np.array(M))
+        n = basis.n
+        sigma = 1.0 / float(np.linalg.norm(basis.entries, 2))
+        shift = sandwich_check(basis, t, eps).shift
+        for radius in (t - shift, t + shift):
+            scale = radius ** n / abs(basis.det)
+            g_sum = 1.0
+            for C in range(1, last + 1):
+                g_sum += 2.0 * _rho0_majorant(eps * C)
+                a = C + 1
+                h = (4.0 / (math.pi * eps)) ** 8 * (a ** -8 + a ** -7 / 7)
+                majorant = scale * _ball_envelope(n, radius * sigma * a) * (
+                    _power_gap(g_sum, 2.0 * h, n))
+                [sm] = _poisson_sums(basis, (radius,), eps, C)
+                assert sm.tail <= majorant
+
+    def test_thin_z3_check_holds(self, monkeypatch):
+        """Z^3 at t = 4.001, eps = 0.02 holds on a budget of 200 shells:
+        its upper sum reaches the tail target at shell 151.  The majorant
+        tail was still above it at shell 200, and the check inconclusive."""
+        monkeypatch.setattr(fourier, "_MAX_POINTS", 401 ** 3 - 1)
+        assert fourier._max_cutoff(3) == 200
+        res = sandwich_check(identity_basis(3), 4.001, 0.02)
+        assert (res.status, res.lower_rule, res.upper_rule) == (
+            "holds", "margin", "target")
+        assert res.cutoff == 151
+        assert res.upper_tail < 1e-3
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_float_and_array_give_the_same_bits(self, n):
+        """The envelope and the power gap agree bit for bit between a
+        float and the same value in an array, which the table and its
+        per-shell oracle rely on."""
+        rng = np.random.default_rng(17)
+        s = np.exp(rng.uniform(-3.0, 8.0, 2000))
+        assert np.array_equal(_ball_envelope(n, s),
+                              [_ball_envelope(n, float(x)) for x in s])
+        g, d = 1.0 + s, rng.uniform(0.0, 2.0, s.size)
+        assert np.array_equal(_power_gap(g, d, n),
+                              [_power_gap(float(x), float(y), n)
+                               for x, y in zip(g, d)])
 
 
 class TestSmoothedCount:
