@@ -36,6 +36,37 @@ def _as_square_float(mat) -> np.ndarray:
     return arr
 
 
+def _column_volume(rows: list) -> float:
+    """Product of the column norms of a matrix given as lists of rows,
+    refusing a non-finite matrix and one whose product overflows.
+
+    Hadamard: |det| <= product of the column norms, with equality for
+    orthogonal columns, so the ratio measures how far the columns are
+    from dependent whatever their scale or shear; math.hypot over the
+    rows as Python floats is cheaper than numpy on a 3 x 3.  A NaN or
+    infinite entry makes its column's norm, and so the product, NaN or
+    infinite: a finite product proves every entry finite, and one that
+    overflowed from finite entries is refused before np.linalg.det
+    overflows with a warning.
+    """
+    volume = math.prod(map(math.hypot, *rows))
+    if not math.isfinite(volume):
+        entries = itertools.chain.from_iterable(rows)
+        if not all(map(math.isfinite, entries)):
+            raise ValueError("matrix entries must be finite")
+        raise SingularBasisError("determinant not checkable below "
+                                 "guard: column-norm product overflows")
+    return volume
+
+
+def _check_guard(d: float, volume: float) -> None:
+    if not abs(d) > DET_GUARD * volume:
+        raise SingularBasisError(
+            f"determinant {d:.3e} below guard for column-norm "
+            f"product {volume:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
     """Invertible real matrix, columns generating a full-rank lattice."""
@@ -45,31 +76,53 @@ class LatticeBasis:
 
     def __post_init__(self):
         arr = _as_square_float(self.entries)
-        rows = arr.tolist()
-        # Hadamard: |det| <= product of the column norms, with equality
-        # for orthogonal columns, so the ratio measures how far the
-        # columns are from dependent whatever their scale or shear;
-        # math.hypot over the rows as Python floats is cheaper than
-        # numpy on a 3 x 3.  A NaN or infinite entry makes its column's
-        # norm, and so the product, NaN or infinite: a finite product
-        # proves every entry finite, and one that overflowed from finite
-        # entries is refused before np.linalg.det overflows with a warning
-        volume = math.prod(map(math.hypot, *rows))
-        if not math.isfinite(volume):
-            entries = itertools.chain.from_iterable(rows)
-            if not all(map(math.isfinite, entries)):
-                raise ValueError("matrix entries must be finite")
-            raise SingularBasisError("determinant not checkable below "
-                                     "guard: column-norm product overflows")
+        volume = _column_volume(arr.tolist())
         arr.setflags(write=False)
         d = float(np.linalg.det(arr))
-        if not abs(d) > DET_GUARD * volume:
-            raise SingularBasisError(
-                f"determinant {d:.3e} below guard for column-norm "
-                f"product {volume:.3e}"
-            )
+        _check_guard(d, volume)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "det", d)
+
+    @classmethod
+    def from_stack(cls, mats) -> list:
+        """Check each matrix of a stack of shape (B, n, n) as
+        LatticeBasis(mats[b]) does, with one LAPACK call for all the
+        determinants: a list, in stack order, holding for each matrix
+        its LatticeBasis or the error that LatticeBasis(mats[b]) raises.
+
+        Every check and every bit is the single construction's, entries
+        and det alike (np.linalg.det factors each matrix of a stack on
+        its own); the bases' entries are read-only views of one copy of
+        the stack.
+        """
+        arr = np.array(mats, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+            raise ValueError(f"expected a stack of square matrices, got "
+                             f"shape {arr.shape}")
+        if arr.shape[1] < 2:
+            raise ValueError("dimension must be at least 2")
+        arr.setflags(write=False)
+        # out holds each matrix's column-norm product, or its error,
+        # until its determinant is checked
+        out, checked = [], []
+        for b, rows in enumerate(arr.tolist()):
+            try:
+                out.append(_column_volume(rows))
+                checked.append(b)
+            except ValueError as err:
+                out.append(err)
+        dets = np.linalg.det(arr[checked]).tolist()
+        for b, d in zip(checked, dets):
+            try:
+                _check_guard(d, out[b])
+            except ValueError as err:
+                out[b] = err
+                continue
+            basis = object.__new__(cls)
+            object.__setattr__(basis, "entries", arr[b])
+            object.__setattr__(basis, "det", d)
+            out[b] = basis
+        return out
 
     @property
     def n(self) -> int:

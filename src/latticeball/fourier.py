@@ -532,7 +532,8 @@ class PoissonSum(NamedTuple):
 
 
 def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
-                  margins=None, tail_target: float = 0.0) -> list[PoissonSum]:
+                  margins=None, tail_target: float = 0.0,
+                  singular=None) -> list[PoissonSum]:
     """Main term plus shells 1..cutoff, at each radius of ``radii``, for
     the mollifier of width ``epsilon``, each with its proven tail.
 
@@ -571,12 +572,17 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     tail is below its margin (rule "margin").  Any radius stops once its
     tail is below ``tail_target`` (rule "target").  Without either, every
     radius runs to ``cutoff``.
+
+    ``singular``, if given, holds the basis's singular values in
+    decreasing order, as np.linalg.svd returns them; a caller that has
+    taken them already saves the second decomposition.
     """
     if margins is not None and len(margins) != len(radii):
         raise ValueError("margins needs one function per radius")
     n = basis.n
     W = np.linalg.inv(basis.entries).T
-    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    if singular is None:
+        singular = np.linalg.svd(basis.entries, compute_uv=False)
     # smallest singular value of W, so |W k| >= sigma |k|_inf
     sigma = 1.0 / float(singular[0])
     kappa = float(singular[0] / singular[-1])
@@ -704,8 +710,9 @@ def sandwich_check(basis: LatticeBasis, t: float,
         )
     if basis.n not in (2, 3):
         raise ValueError("closed forms are implemented for n in {2, 3}")
-    sigma = float(np.linalg.norm(basis.entries, 2))
-    shift = epsilon * math.sqrt(basis.n) * sigma
+    # the largest singular value, which np.linalg.norm(entries, 2) is
+    singular = np.linalg.svd(basis.entries, compute_uv=False)
+    shift = epsilon * math.sqrt(basis.n) * float(singular[0])
     if t - shift <= 0:
         raise ValueError(
             f"epsilon too large: shifted radius {t - shift:.3g} <= 0"
@@ -713,7 +720,8 @@ def sandwich_check(basis: LatticeBasis, t: float,
     exact = count_points(basis, t)
     margins = (lambda lower: exact - lower, lambda upper: upper - exact)
     lo, hi = _poisson_sums(basis, (t - shift, t + shift), epsilon,
-                           _max_cutoff(basis.n), margins, _TAIL_TARGET)
+                           _max_cutoff(basis.n), margins, _TAIL_TARGET,
+                           singular)
     sides = [(margin(sm.value), sm.tail)
              for margin, sm in zip(margins, (lo, hi))]
     if any(margin < -tail and tail < _TAIL_TARGET for margin, tail in sides):

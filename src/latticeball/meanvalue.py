@@ -140,6 +140,10 @@ def mc_stats(sampler, t, samples: int, seed: Seed):
     the samples are drawn once, in index order on the calling thread, all
     radii are counted on that block by one count_many call, and each is
     reduced in sample order, exactly as a call at that radius alone.
+    Index order is what lets a sampler draw ahead: asked for
+    seed.child(i) right after seed.child(i - 1), sample_haar_unimodular
+    builds the next streams in one array pass (see sampling), and the
+    draws stay what each seed alone would give.
 
     The volumes of the whole block are one numpy expression, the same
     IEEE operations as ball_volume per basis; count_many refuses a block

@@ -26,21 +26,37 @@ variance experiment refuses to report only when that calibration fails.
 ROADMAP item 1 describes the exact fix (accept a draw with probability 4
 over its multiplicity).
 
-The sampler builds its 3 x 3 basis in Python floats rather than through
-per-draw LAPACK calls, which cost more than the arithmetic at this size.
-The rotation is Gram-Schmidt on the columns of a Gaussian matrix, the
-same K as a QR factorisation with positive R diagonal; X = K A N is
-formed entry by entry and its determinant by cofactors.  Against the
-LAPACK construction on the same draws, entries differ in the last few
-bits (at most 4.4e-14 relative on 2e4 draws, from Householder against
-Gram-Schmidt rounding), and counts are identical.
+The sampler builds its bases a block of consecutive streams at a time,
+in one array pass: per stream a fresh rng_for generator fills one row of
+variates, in the order and with the bits that exponential(0.5) twice,
+uniform(-0.5, 0.5, 3) and standard_normal((3, 3)) give, and numpy then
+does the arithmetic of the whole block.  The rotation is Gram-Schmidt on
+the columns of the Gaussian matrix, the same K as a QR factorisation with
+positive R diagonal; X = K A N is formed entry by entry and its
+determinant by cofactors.  Every step is the IEEE operation a draw built
+alone in Python floats would make, with math.hypot and math.exp still
+called per draw (numpy's exp and a square root of a sum of squares round
+differently), so a draw's bits do not depend on its block.  The block is
+checked by LatticeBasis.from_stack and then for |det - 1| <= 1e-12.
+Against the LAPACK construction on the same draws, entries differ in the
+last few bits (at most 4.4e-14 relative on 2e4 draws, from Householder
+against Gram-Schmidt rounding), and counts are identical.
+
+Draw-ahead: a HaarSamplerConfig holds the latest block.  A call whose
+seed lies in it is answered from it; a call for the stream just past it
+builds the next block, twice as long up to 256 streams (_BLOCK_CAP) and
+never reaching stream 2**64; any other call builds a block of its own
+stream only.  mc_stats asks for consecutive streams in index order, so
+its draws come in blocks that double up to 256, while a draw asked for
+alone costs a block of one.  A draw that fails a check raises at the
+call for its own stream, not at the call that built its block.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,11 +184,25 @@ def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
 # ---------------------------------------------------------------------------
 
 
+# the longest block of Haar draws (the module docstring's draw-ahead
+# rule).  On a 2-vCPU VM one block costs 11.7 us a draw at 64 streams,
+# 10.6 at 256 and 10.3 at 1024, so longer blocks gain little and draw
+# more streams past the end of a run for nothing
+_BLOCK_CAP = 256
+
+
 @dataclass(frozen=True)
 class HaarSamplerConfig:
-    """Settings of the Siegel-set sampler; n = 3 is the only dimension."""
+    """Settings of the Siegel-set sampler; n = 3 is the only dimension.
+
+    An instance also holds the sampler's latest block of draws (see the
+    module docstring): state, not a setting, so it is left out of
+    equality, hashing and repr.
+    """
 
     n: int
+    _block: tuple | None = field(default=None, init=False, compare=False,
+                                 repr=False)
 
     def __post_init__(self):
         if self.n != 3:
@@ -180,20 +210,23 @@ class HaarSamplerConfig:
                              f"only, got n = {self.n}")
 
 
-def _unit(v: tuple) -> tuple:
-    r = math.hypot(*v)
-    return (v[0] / r, v[1] / r, v[2] / r)
+def _normalised(v: np.ndarray) -> np.ndarray:
+    """Each column of the (3, size) array v over its length, taken by
+    the 3-argument math.hypot per column."""
+    return v / np.array(list(map(math.hypot, *v.tolist())))
 
 
-def _reject(v: tuple, q: tuple) -> tuple:
-    """v minus its component along the unit vector q."""
+def _less_along(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each column of v minus its component along the unit column of q."""
     c = v[0] * q[0] + v[1] * q[1] + v[2] * q[2]
-    return (v[0] - c * q[0], v[1] - c * q[1], v[2] - c * q[2])
+    return v - c * q
 
 
-def _so3_columns(z: list) -> tuple:
-    """Haar rotation in SO(3) from nine standard Gaussians (a 3 x 3
-    matrix, row-major), as its three columns.
+def _rotations(z: np.ndarray) -> tuple:
+    """Haar rotations in SO(3) from nine standard Gaussians per draw: z
+    has shape (9, size), column k holding draw k's 3 x 3 matrix
+    row-major.  Returns the rotations' three columns, each of shape
+    (3, size).
 
     Gram-Schmidt on the Gaussian columns gives the Q of their QR
     factorisation with positive R diagonal, which is Haar on O(3).  Each
@@ -201,47 +234,79 @@ def _so3_columns(z: list) -> tuple:
     rounding even when the Gaussian columns are nearly dependent.
     Column 0 is negated when the determinant is -1.
     """
-    u = _unit((z[0], z[3], z[6]))
-    v = _unit(_reject(_reject((z[1], z[4], z[7]), u), u))
-    w = _reject(_reject((z[2], z[5], z[8]), u), v)
-    w = _unit(_reject(_reject(w, u), v))
+    u = _normalised(z[0::3])
+    v = _normalised(_less_along(_less_along(z[1::3], u), u))
+    w = _less_along(_less_along(z[2::3], u), v)
+    w = _normalised(_less_along(_less_along(w, u), v))
     det = (w[0] * (u[1] * v[2] - u[2] * v[1])
            + w[1] * (u[2] * v[0] - u[0] * v[2])
            + w[2] * (u[0] * v[1] - u[1] * v[0]))
-    if det < 0:
-        u = (-u[0], -u[1], -u[2])
-    return u, v, w
+    return np.where(det < 0, -u, u), v, w
+
+
+def _haar_block(master: int, start: int, size: int) -> list:
+    """The draws of streams start, ..., start + size - 1 of master: for
+    each, its LatticeBasis or the error one of its checks raised."""
+    var = np.empty((size, 14))
+    for row, stream in zip(var, range(start, start + size)):
+        gen = rng_for(Seed(master, stream))
+        gen.standard_exponential(out=row[0:2])
+        gen.random(out=row[2:5])
+        gen.standard_normal(out=row[5:14])
+    var[:, 0:2] *= 0.5      # exponential(0.5), twice
+    var[:, 2:5] -= 0.5      # uniform(-0.5, 0.5), three times
+    var = var.T
+    s_min = math.log(SIEGEL_RATIO)
+    s1 = s_min + var[0]
+    s2 = s_min + var[1]
+    e0, e1, e2 = var[2:5]
+    u, v, w = _rotations(var[5:14])
+    v1 = (4.0 * s1 + 2.0 * s2) / 3.0
+    v2 = (2.0 * s2 - 2.0 * s1) / 3.0
+    logs = np.stack([v1, v2, -v1 - v2]).ravel().tolist()
+    a = np.array(list(map(math.exp, logs))).reshape(3, size)
+    # K A: column j of K scaled by A[j, j] = 1 / sqrt(a[j])
+    b0, b1, b2 = 1.0 / np.sqrt(a)
+    # then (K A) N, N unit upper triangular with eta = (e0, e1, e2)
+    p, q, r = b0 * u, b1 * v, b2 * w
+    cols = [p, p * e0 + q, p * e1 + q * e2 + r]
+    (x00, x10, x20), (x01, x11, x21), (x02, x12, x22) = cols
+    d = (x00 * (x11 * x22 - x12 * x21)
+         - x01 * (x10 * x22 - x12 * x20)
+         + x02 * (x10 * x21 - x11 * x20))
+    cols[-1] = cols[-1] / d
+    draws = LatticeBasis.from_stack(np.stack(cols, axis=-1).swapaxes(0, 1))
+    for k, basis in enumerate(draws):
+        if isinstance(basis, LatticeBasis) and abs(basis.det - 1.0) > 1e-12:
+            draws[k] = ArithmeticError("unit determinant not achieved")
+    return draws
+
+
+def _raise_or_return(draw):
+    if isinstance(draw, Exception):
+        raise draw
+    return draw
 
 
 def sample_haar_unimodular(config: HaarSamplerConfig,
                            seed: Seed) -> LatticeBasis:
     """A unimodular 3 x 3 basis drawn from the Siegel set under the
     invariant measure, one draw per seed.  Draws are not weighted by
-    their multiplicity, so this is not exactly Haar (ROADMAP item 1)."""
-    gen = rng_for(seed)
-    s_min = math.log(SIEGEL_RATIO)
-    s1 = s_min + gen.exponential(0.5)
-    s2 = s_min + gen.exponential(0.5)
-    v1 = (4.0 * s1 + 2.0 * s2) / 3.0
-    v2 = (2.0 * s2 - 2.0 * s1) / 3.0
-    e0, e1, e2 = gen.uniform(-0.5, 0.5, 3).tolist()
-    u, v, w = _so3_columns(gen.standard_normal((3, 3)).ravel().tolist())
-    # K A: column j of K scaled by A[j, j] = 1 / sqrt(a[j])
-    b0 = 1.0 / math.sqrt(math.exp(v1))
-    b1 = 1.0 / math.sqrt(math.exp(v2))
-    b2 = 1.0 / math.sqrt(math.exp(-v1 - v2))
-    # then (K A) N, N unit upper triangular with eta = (e0, e1, e2)
-    rows = []
-    for ui, vi, wi in zip(u, v, w):
-        p, q, r = b0 * ui, b1 * vi, b2 * wi
-        rows.append([p, p * e0 + q, p * e1 + q * e2 + r])
-    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = rows
-    d = (x00 * (x11 * x22 - x12 * x21)
-         - x01 * (x10 * x22 - x12 * x20)
-         + x02 * (x10 * x21 - x11 * x20))
-    for row in rows:
-        row[-1] /= d
-    basis = LatticeBasis(rows)
-    if abs(basis.det - 1.0) > 1e-12:
-        raise ArithmeticError("unit determinant not achieved")
-    return basis
+    their multiplicity, so this is not exactly Haar (ROADMAP item 1).
+
+    Draws are built a block of consecutive streams at a time and held
+    by config, by the draw-ahead rule of the module docstring; each is
+    still a pure function of its seed, and a check that fails on a
+    stream raises at the call for that stream.
+    """
+    size = 1
+    master, start, draws = config._block or (None, 0, [])
+    if seed.master == master:
+        k = seed.stream - start
+        if 0 <= k < len(draws):
+            return _raise_or_return(draws[k])
+        if k == len(draws):
+            size = min(2 * k, _BLOCK_CAP, _KEY_RANGE - seed.stream)
+    draws = _haar_block(seed.master, seed.stream, max(size, 1))
+    object.__setattr__(config, "_block", (seed.master, seed.stream, draws))
+    return _raise_or_return(draws[0])

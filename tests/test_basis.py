@@ -90,6 +90,53 @@ class TestLatticeBasis:
         assert b.det == pytest.approx(9.0)
 
 
+def _checked_alone(M):
+    try:
+        return LatticeBasis(M)
+    except ValueError as err:
+        return err
+
+
+class TestFromStack:
+    def test_each_matrix_as_alone(self, rng):
+        """Bases, determinants and refusals of a stack are bit for bit
+        those of each matrix checked on its own."""
+        mats = [random_basis(rng, 3).entries for _ in range(50)]
+        mats[7] = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                            [0.0, 0.0, 1e-15]])
+        mats[19] = np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 1.0]])
+        mats[31] = 1e200 * np.eye(3)
+        mats[40] = np.zeros((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = LatticeBasis.from_stack(np.stack(mats))
+        assert len(got) == len(mats)
+        for M, X in zip(mats, got):
+            ref = _checked_alone(M)
+            assert type(X) is type(ref)
+            if isinstance(ref, LatticeBasis):
+                assert X.entries.tobytes() == ref.entries.tobytes()
+                assert X.det == ref.det
+                assert not X.entries.flags.writeable
+            else:
+                assert str(X) == str(ref)
+
+    def test_stack_copied(self):
+        mats = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        X = LatticeBasis.from_stack(mats)[1]
+        mats[1] = 0.0
+        assert X.det == 4.0 and np.array_equal(X.entries, 2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (4, 1, 1)])
+    def test_shape_refused(self, shape):
+        with pytest.raises(ValueError):
+            LatticeBasis.from_stack(np.ones(shape))
+
+    def test_empty_stack(self):
+        assert LatticeBasis.from_stack(np.empty((0, 3, 3))) == []
+
+
 class TestGram:
     def test_identity(self):
         assert np.array_equal(gram(identity_basis(3)), np.eye(3))

@@ -263,7 +263,8 @@ class TestCountMany:
             count_many([identity_basis(3)], [1.0, 1e200])
 
     def test_stacked_gram_is_per_basis_gram(self, rng):
-        blocks = [[sample_haar_unimodular(HaarSamplerConfig(n=3), Seed(8, i))
+        config = HaarSamplerConfig(n=3)
+        blocks = [[sample_haar_unimodular(config, Seed(8, i))
                    for i in range(2000)],
                   [random_basis(rng, 2) for _ in range(500)],
                   [random_basis(rng, 4) for _ in range(50)]]

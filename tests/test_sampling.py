@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import hashlib
 import json
 import math
 import os
@@ -10,14 +12,15 @@ import numpy as np
 import pytest
 
 import latticeball
-from latticeball.basis import LatticeBasis
+from latticeball import sampling
+from latticeball.basis import LatticeBasis, SingularBasisError
 from latticeball.counting import count_many
 from latticeball.sampling import (
     SIEGEL_RATIO,
     CompactFamilySpec,
     HaarSamplerConfig,
     Seed,
-    _so3_columns,
+    _rotations,
     rng_for,
     sample_compact,
     sample_haar_unimodular,
@@ -210,16 +213,27 @@ def _gaussians(seed):
     return gen.standard_normal((3, 3))
 
 
+def _rotation_block(seeds):
+    """The sampler's rotations for the seeds' Gaussians, built as one
+    block, as a stack of shape (len(seeds), 3, 3)."""
+    z = np.stack([_gaussians(s).ravel() for s in seeds]).T
+    return np.stack(_rotations(z), axis=1).transpose(2, 0, 1)
+
+
 class TestScalarConstruction:
+    """The sampler's entry-by-entry construction (Gram-Schmidt, K A N
+    and a cofactor determinant, over a block of draws) against numpy's
+    QR and matrix products on the same variates."""
+
     def test_rotation_in_so3(self):
-        for i in range(2000):
-            K = np.array(_so3_columns(_gaussians(Seed(30, i)).ravel().tolist())).T
-            assert np.max(np.abs(K.T @ K - np.eye(3))) <= 1e-14
-            assert abs(np.linalg.det(K) - 1.0) <= 1e-14
+        for i, K in enumerate(_rotation_block([Seed(30, i)
+                                               for i in range(2000)])):
+            assert np.max(np.abs(K.T @ K - np.eye(3))) <= 1e-14, i
+            assert abs(np.linalg.det(K) - 1.0) <= 1e-14, i
 
     def test_rotation_matches_qr(self):
-        for i in range(2000):
-            K = np.array(_so3_columns(_gaussians(Seed(30, i)).ravel().tolist())).T
+        for i, K in enumerate(_rotation_block([Seed(30, i)
+                                               for i in range(2000)])):
             K_ref, _ = _lapack_reference(Seed(30, i))
             assert np.max(np.abs(K - K_ref)) <= 1e-12, i
 
@@ -240,3 +254,113 @@ class TestScalarConstruction:
         refs = [LatticeBasis(_lapack_reference(s)[1]) for s in seeds]
         for t in (0.6, 2.0, 8.0):
             assert np.array_equal(count_many(bases, t), count_many(refs, t)), t
+
+
+# the draws Seed(m, i), m in _MASTERS, i < _STREAMS, master by master
+_MASTERS = (1, 7, 134)
+_STREAMS = 20_000
+# sha256 over their entries' bytes in that order, as the scalar sampler
+# that preceded the block pass drew them
+_DRAWS_SHA256 = ("2810b27e157b5bacc839d62b09e34d97"
+                 "cfb0d08cacbb0812218d7e7afaf6c951")
+# streams the other orders ask for: past every block boundary up to the
+# cap (blocks start at streams 0, 1, 3, 7, ..., 255 and 511)
+_REORDERED = 600
+
+
+@functools.cache
+def _sequential_draws() -> dict:
+    """(master, stream) -> entries bytes, drawn in sequential order on
+    one config."""
+    config = HaarSamplerConfig(n=3)
+    return {(m, i): sample_haar_unimodular(config, Seed(m, i)).entries
+            .tobytes() for m in _MASTERS for i in range(_STREAMS)}
+
+
+def _draw_bytes(config, m, i):
+    return sample_haar_unimodular(config, Seed(m, i)).entries.tobytes()
+
+
+class TestDrawAhead:
+    """Draws come a block of consecutive streams at a time, and each is
+    still a pure function of its seed, whatever the order of calls."""
+
+    def test_sequential_draws_pinned(self):
+        h = hashlib.sha256()
+        for draw in _sequential_draws().values():
+            h.update(draw)
+        assert h.hexdigest() == _DRAWS_SHA256
+
+    def test_reversed_order(self):
+        config = HaarSamplerConfig(n=3)
+        ref = _sequential_draws()
+        for m in reversed(_MASTERS):
+            for i in reversed(range(_REORDERED)):
+                assert _draw_bytes(config, m, i) == ref[m, i], (m, i)
+
+    def test_masters_interleaved(self):
+        config = HaarSamplerConfig(n=3)
+        ref = _sequential_draws()
+        for i in range(_REORDERED):
+            for m in _MASTERS:
+                assert _draw_bytes(config, m, i) == ref[m, i], (m, i)
+
+    def test_fresh_config_per_call(self):
+        ref = _sequential_draws()
+        for m in _MASTERS:
+            for i in range(_REORDERED):
+                draw = _draw_bytes(HaarSamplerConfig(n=3), m, i)
+                assert draw == ref[m, i], (m, i)
+
+    def test_block_state_is_not_a_setting(self):
+        config = HaarSamplerConfig(n=3)
+        for i in range(10):
+            sample_haar_unimodular(config, Seed(2, i))
+        assert config == HaarSamplerConfig(n=3)
+        assert hash(config) == hash(HaarSamplerConfig(n=3))
+        assert repr(config) == "HaarSamplerConfig(n=3)"
+
+    def test_failed_check_raises_at_its_own_stream(self, monkeypatch):
+        # stream 5 is drawn ahead, in the block of streams 3 to 6 that
+        # the call for stream 3 builds
+        ref = [_draw_bytes(HaarSamplerConfig(n=3), 4, i) for i in range(7)]
+        target = np.frombuffer(ref[5]).reshape(3, 3)
+        real_det = np.linalg.det
+        stacks = []
+
+        def det(a):
+            stacks.append(len(a))
+            hit = np.all(a == target, axis=(-2, -1))
+            return np.where(hit, 0.0, real_det(a))
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        config = HaarSamplerConfig(n=3)
+        for i in range(5):
+            assert _draw_bytes(config, 4, i) == ref[i], i
+        assert stacks == [1, 2, 4]
+        with pytest.raises(SingularBasisError, match="below guard"):
+            sample_haar_unimodular(config, Seed(4, 5))
+        assert _draw_bytes(config, 4, 6) == ref[6]
+        assert stacks == [1, 2, 4]
+
+    def test_run_stops_below_key_range(self, monkeypatch):
+        real_rng_for = sampling.rng_for
+        streams = []
+
+        def rng_for(seed):
+            streams.append(seed.stream)
+            return real_rng_for(seed)
+
+        monkeypatch.setattr(sampling, "rng_for", rng_for)
+        config = HaarSamplerConfig(n=3)
+        first = Seed(9, 2 ** 64 - 3)
+        draws = [sample_haar_unimodular(config, first.child(i))
+                 for i in range(3)]
+        assert all(isinstance(X, LatticeBasis) for X in draws)
+        assert streams == [2 ** 64 - 3, 2 ** 64 - 2, 2 ** 64 - 1]
+        for i, X in enumerate(draws):
+            alone = sample_haar_unimodular(HaarSamplerConfig(n=3),
+                                           first.child(i))
+            assert X.entries.tobytes() == alone.entries.tobytes()
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample_haar_unimodular(config, first.child(3))
