@@ -10,11 +10,13 @@ Conventions, fixed once here so every module agrees:
 * columns of ``entries`` are the generators;
 * N's strict upper entries are packed row-major into ``eta``
   (for n = 3: eta = (N12, N13, N23)).
+
+Every basis is checked by LatticeBasis.from_stack, a single matrix as a
+stack of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,46 +29,6 @@ class SingularBasisError(ValueError):
     """Matrix is singular or too close to it to trust as a basis."""
 
 
-def _as_square_float(mat) -> np.ndarray:
-    arr = np.array(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValueError("dimension must be at least 2")
-    return arr
-
-
-def _column_volume(rows: list) -> float:
-    """Product of the column norms of a matrix given as lists of rows,
-    refusing a non-finite matrix and one whose product overflows.
-
-    Hadamard: |det| <= product of the column norms, with equality for
-    orthogonal columns, so the ratio measures how far the columns are
-    from dependent whatever their scale or shear; math.hypot over the
-    rows as Python floats is cheaper than numpy on a 3 x 3.  A NaN or
-    infinite entry makes its column's norm, and so the product, NaN or
-    infinite: a finite product proves every entry finite, and one that
-    overflowed from finite entries is refused before np.linalg.det
-    overflows with a warning.
-    """
-    volume = math.prod(map(math.hypot, *rows))
-    if not math.isfinite(volume):
-        entries = itertools.chain.from_iterable(rows)
-        if not all(map(math.isfinite, entries)):
-            raise ValueError("matrix entries must be finite")
-        raise SingularBasisError("determinant not checkable below "
-                                 "guard: column-norm product overflows")
-    return volume
-
-
-def _check_guard(d: float, volume: float) -> None:
-    if not abs(d) > DET_GUARD * volume:
-        raise SingularBasisError(
-            f"determinant {d:.3e} below guard for column-norm "
-            f"product {volume:.3e}"
-        )
-
-
 @dataclass(frozen=True)
 class LatticeBasis:
     """Invertible real matrix, columns generating a full-rank lattice."""
@@ -75,25 +37,31 @@ class LatticeBasis:
     det: float = field(init=False)
 
     def __post_init__(self):
-        arr = _as_square_float(self.entries)
-        volume = _column_volume(arr.tolist())
-        arr.setflags(write=False)
-        d = float(np.linalg.det(arr))
-        _check_guard(d, volume)
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "det", d)
+        arr = np.array(self.entries, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape "
+                             f"{arr.shape}")
+        [basis] = self.from_stack(arr[None])
+        if not isinstance(basis, LatticeBasis):
+            raise basis
+        object.__setattr__(self, "entries", basis.entries)
+        object.__setattr__(self, "det", basis.det)
 
     @classmethod
     def from_stack(cls, mats) -> list:
-        """Check each matrix of a stack of shape (B, n, n) as
-        LatticeBasis(mats[b]) does, with one LAPACK call for all the
-        determinants: a list, in stack order, holding for each matrix
-        its LatticeBasis or the error that LatticeBasis(mats[b]) raises.
+        """Check each matrix of a stack of shape (B, n, n): a list, in
+        stack order, of its LatticeBasis or the error LatticeBasis(mats[b])
+        raises; the bases' entries are read-only views of one copy.
 
-        Every check and every bit is the single construction's, entries
-        and det alike (np.linalg.det factors each matrix of a stack on
-        its own); the bases' entries are read-only views of one copy of
-        the stack.
+        Hadamard: |det| is at most the product of the column norms, with
+        equality for orthogonal columns, so |det| > DET_GUARD times that
+        product measures how far the columns are from dependent whatever
+        their scale or shear.  A NaN or infinite entry makes the product
+        NaN or infinite: a finite product proves every entry finite, so
+        entries are tested only where one is not, and one that overflowed
+        from finite entries is refused before np.linalg.det overflows
+        with a warning.  np.linalg.det factors each matrix of a stack on
+        its own, so a det has the same bits in any stack.
         """
         arr = np.array(mats, dtype=float)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -102,26 +70,29 @@ class LatticeBasis:
         if arr.shape[1] < 2:
             raise ValueError("dimension must be at least 2")
         arr.setflags(write=False)
-        # out holds each matrix's column-norm product, or its error,
-        # until its determinant is checked
-        out, checked = [], []
-        for b, rows in enumerate(arr.tolist()):
-            try:
-                out.append(_column_volume(rows))
-                checked.append(b)
-            except ValueError as err:
-                out.append(err)
-        dets = np.linalg.det(arr[checked]).tolist()
-        for b, d in zip(checked, dets):
-            try:
-                _check_guard(d, out[b])
-            except ValueError as err:
-                out[b] = err
-                continue
-            basis = object.__new__(cls)
-            object.__setattr__(basis, "entries", arr[b])
-            object.__setattr__(basis, "det", d)
-            out[b] = basis
+        with np.errstate(over="ignore", invalid="ignore"):
+            volumes = np.hypot.reduce(arr, axis=1).prod(axis=1)
+        checked = np.isfinite(volumes)
+        every = bool(checked.all())
+        finite = checked if every else np.isfinite(arr).all(axis=(1, 2))
+        dets = iter(np.linalg.det(arr if every else arr[checked]).tolist())
+        out = []
+        for b, (ok, fin, volume) in enumerate(zip(
+                checked.tolist(), finite.tolist(), volumes.tolist())):
+            if not fin:
+                out.append(ValueError("matrix entries must be finite"))
+            elif not ok:
+                out.append(SingularBasisError(
+                    "determinant not checkable below guard: column-norm "
+                    "product overflows"))
+            elif not abs(d := next(dets)) > DET_GUARD * volume:
+                out.append(SingularBasisError(
+                    f"determinant {d:.3e} below guard for column-norm "
+                    f"product {volume:.3e}"))
+            else:
+                out.append(basis := object.__new__(cls))
+                object.__setattr__(basis, "entries", arr[b])
+                object.__setattr__(basis, "det", d)
         return out
 
     @property

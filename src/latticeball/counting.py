@@ -15,7 +15,10 @@ and count_points is a batch of one.  A batch has one dimension and a
 radius or a grid of radii: the 64-bit volume check runs at the largest
 radius and the Gram matrices are factored once, before any enumeration;
 each radius is then one enumeration of its own, so a grid counts exactly
-as its radii do one by one.
+as its radii do one by one.  The volume check cannot see a thin lattice,
+whose count may pass its volume by far: a count of 2^53 or more, past
+what level 0's float sums hold exactly, and a Gram matrix that overflows
+are refused with OverflowError.
 
 Each pass expands at most about ROW_CAP rows: the parents of a level are
 cut into groups whose children fit under the cap (plus one parent's
@@ -47,6 +50,9 @@ MEMBERSHIP_SLACK = 1e-12
 
 # refuse to enumerate if even the ball volume overflows an unsigned word
 _COUNT_LIMIT = 2.0 ** 64
+
+# float sums of integers, as level 0 takes its counts, are exact below this
+_EXACT_SUM = 2.0 ** 53
 
 # rows one enumeration pass may expand into.  Without a cap criterion 4's
 # 200 bases at t = 80 expand to 4M rows at once; at 2^12 a pass's arrays
@@ -86,7 +92,15 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
         hi = np.floor((centre + s) / rii)
         width = np.maximum(hi - lo + 1.0, 0.0)
         if i == 0:
-            return np.bincount(b, weights=width, minlength=B).astype(np.int64)
+            counts = np.bincount(b, weights=width, minlength=B)
+            if counts.max() >= _EXACT_SUM:
+                raise OverflowError("count would exceed 2**53, past the "
+                                    "exact range of its float sums")
+            return counts.astype(np.int64)
+        if width.max() >= _EXACT_SUM:
+            # nor may one row have as many children as that
+            raise OverflowError("enumeration would pass 2**53 rows at "
+                                "one level")
         width = width.astype(np.int64)
         end = np.cumsum(width)
         start = end - width
@@ -140,7 +154,12 @@ def count_many(bases, t) -> np.ndarray:
     smallest = min(abs(X.det) for X in bases)
     if max(ts) > (_COUNT_LIMIT * smallest / unit_ball_volume(n)) ** (1.0 / n):
         raise OverflowError("count would exceed the 64-bit range")
-    R = np.linalg.cholesky(gram(np.array([X.entries for X in bases])))
+    with np.errstate(over="ignore"):
+        G = gram(np.array([X.entries for X in bases]))
+    if not np.isfinite(G).all():
+        raise OverflowError("Gram matrix overflows: a basis vector's "
+                            "squared length passes the float range")
+    R = np.linalg.cholesky(G)
     R = R.transpose(0, 2, 1)
     # one enumeration per radius, each with the scalar budget and the
     # flat memory of a single count

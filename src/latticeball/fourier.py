@@ -39,8 +39,7 @@ the shells are then summed one by one, in order, with the stop rules
 below checked after each.  For n = 2 the Hankel term count of J1 is set
 by a call's smallest argument, so the later shells of a block get at
 least the terms they would get alone and may differ in the last bit.
-The integer points of the shells up to _CACHED_SHELLS are built once per
-process.
+The blocks of the inner shells are built once per process (_block).
 
 Every sum carries a proven tail.  Every frequency k on shell c has
 |X^{-T} k| >= sigma c, where sigma = 1/||X||_2 is the smallest singular
@@ -347,45 +346,26 @@ def _power_gap(g, d, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _shell_points(n: int, c: int) -> np.ndarray:
-    """Half of the integer vectors with sup norm exactly c, one of every
-    +-k pair, as the rows of K, shape (m, n).
+def _shell_points(n: int, *shells: int) -> np.ndarray:
+    """Half of the integer vectors of sup norm c, one of every +-k pair,
+    for each c of ``shells`` in turn, as the rows of K, shape (m, n).
 
-    Face j of the shell holds the vectors with x_j = +-c whose earlier
+    Face j of shell c holds the vectors with x_j = +-c whose earlier
     coordinates lie in (-c, c) and whose later ones run over [-c, c], so
     every vector of the shell lies on exactly one face.  K holds the
     x_j = +c side of each face in lexicographic order; the x_j = -c side
     is that side negated, the other half of the shell.
     """
     faces = []
-    for j in range(n):
-        shape = (2 * c - 1,) * j + (1,) + (2 * c + 1,) * (n - 1 - j)
-        face = np.indices(shape).reshape(n, -1).T
-        face[:, :j] -= c - 1
-        face[:, j] = c
-        face[:, j + 1:] -= c
-        faces.append(face)
+    for c in shells:
+        for j in range(n):
+            shape = (2 * c - 1,) * j + (1,) + (2 * c + 1,) * (n - 1 - j)
+            face = np.indices(shape).reshape(n, -1).T
+            face[:, :j] -= c - 1
+            face[:, j] = c
+            face[:, j + 1:] -= c
+            faces.append(face)
     return np.vstack(faces)
-
-
-# shells up to this sup norm keep their points for the life of the
-# process: about 3 MB for n = 2 and 3 together
-_CACHED_SHELLS = 24
-_shell_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
-def _shell(n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The half shell _shell_points(n, c) as (K, K as floats), read-only
-    and built once per process when c <= _CACHED_SHELLS."""
-    shell = _shell_cache.get((n, c))
-    if shell is None:
-        K = _shell_points(n, c)
-        shell = (K, K.astype(float))
-        if c <= _CACHED_SHELLS:
-            for a in shell:
-                a.setflags(write=False)
-            _shell_cache[n, c] = shell
-    return shell
 
 
 # a block of shells holds about half as many half-shell points as every
@@ -418,20 +398,28 @@ def _blocks(n: int, cutoff: int):
         first = last + 1
 
 
+# a block inside the cube (2 last + 1)^n <= 2^16 is kept for the life of
+# the process: shells up to 127 for n = 2 and 19 for n = 3, about 2.5 MB
+_MEMO_POINTS = 1 << 16
+_block_memo: dict[tuple[int, int, int], tuple] = {}
+
+
 def _block(n: int, first: int, last: int):
-    """Shells first..last as (K, K as floats, starts): their half shells
-    one after another, shell first + j in rows starts[j] to starts[j + 1]
-    of K."""
-    if first == last:
-        K, Kf = _shell(n, first)
-        return K, Kf, [0, K.shape[0]]
-    shells = [_shell(n, c) for c in range(first, last + 1)]
-    starts = [0]
-    for K, _ in shells:
-        starts.append(starts[-1] + K.shape[0])
-    K = np.concatenate([shell[0] for shell in shells])
-    Kf = np.concatenate([shell[1] for shell in shells])
-    return K, Kf, starts
+    """Shells first..last as (K, K as floats, starts): K is
+    _shell_points(n, first, ..., last), shell first + j in rows starts[j]
+    to starts[j + 1]; read-only and built once per process when
+    (2 last + 1)^n <= _MEMO_POINTS."""
+    block = _block_memo.get((n, first, last))
+    if block is None:
+        shells = range(first, last + 1)
+        K = _shell_points(n, *shells)
+        sizes = [_half_size(n, c) for c in shells]
+        block = (K, K.astype(float), tuple(np.cumsum([0, *sizes]).tolist()))
+        if (2 * last + 1) ** n <= _MEMO_POINTS:
+            for a in block[:2]:
+                a.setflags(write=False)
+            _block_memo[n, first, last] = block
+    return block
 
 
 def _dual_norms(K: np.ndarray, W: np.ndarray) -> np.ndarray:

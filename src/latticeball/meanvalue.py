@@ -69,6 +69,10 @@ def compute_cn(n: int) -> CnResult:
     z = _zeta_upper(n)
     Q = math.ceil((8.0 * z / ((2 * n - 1) * _CN_TOL))
                   ** (1.0 / (2 * n - 1))) + 1
+    # every power q^n, r^n and max(q, r)^n of the sum is at most Q^n
+    if n * math.log2(Q) >= 1024:
+        raise OverflowError(f"n = {n} too large: the pair series' powers "
+                            f"{Q}**n overflow a float")
     total = 0.0
     terms = 0
     for q in range(1, Q + 1):

@@ -537,6 +537,9 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     """
     if not (b > a):
         raise ValueError("need b > a")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval a = {a:g}, b = {b:g} too wide: b - a "
+                         f"overflows")
     ts = [float(t) for t in t_grid]
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")

@@ -152,8 +152,13 @@ class CompactFamilySpec:
         if not (self.det_floor > 0):
             raise ValueError("det_floor must be positive")
         # Hadamard: |det| is at most the product of the column norms, and
-        # every entry of a draw lies within delta of the center's
-        bound = math.prod(np.linalg.norm(np.abs(arr) + self.delta, axis=0))
+        # every entry of a draw lies within delta of the center's; Python
+        # floats overflow to inf without a warning
+        bound = math.prod(math.hypot(*(abs(x) + self.delta for x in column))
+                          for column in arr.T.tolist())
+        if not math.isfinite(bound):
+            raise ValueError(f"delta {self.delta:g} too large: the Hadamard "
+                             f"bound on a draw's |det| overflows")
         if self.det_floor > bound:
             raise ValueError(f"det_floor {self.det_floor} is above "
                              f"{bound:.6g}, the largest |det| a draw can "

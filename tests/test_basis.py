@@ -1,9 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from latticeball.basis import (
+    DET_GUARD,
     LatticeBasis,
     SingularBasisError,
     gram,
@@ -90,37 +92,66 @@ class TestLatticeBasis:
         assert b.det == pytest.approx(9.0)
 
 
-def _checked_alone(M):
-    try:
-        return LatticeBasis(M)
-    except ValueError as err:
-        return err
+def _checked_by_hand(M):
+    """What LatticeBasis(M) should give, from plain Python beside one 2-D
+    np.linalg.det call: the error it raises, or its det."""
+    rows = M.tolist()
+    volume = math.prod(map(math.hypot, *rows))
+    if not math.isfinite(volume):
+        if not all(math.isfinite(x) for row in rows for x in row):
+            return ValueError("matrix entries must be finite")
+        return SingularBasisError("determinant not checkable below guard: "
+                                  "column-norm product overflows")
+    d = float(np.linalg.det(M))
+    if not abs(d) > DET_GUARD * volume:
+        return SingularBasisError(f"determinant {d:.3e} below guard for "
+                                  f"column-norm product {volume:.3e}")
+    return d
 
 
 class TestFromStack:
     def test_each_matrix_as_alone(self, rng):
-        """Bases, determinants and refusals of a stack are bit for bit
-        those of each matrix checked on its own."""
+        """Bases, determinants and refusals of a stack, and of each
+        matrix checked alone, are those of a plain-Python check: the
+        entries finite, the column-norm product by math.hypot, and the
+        guard on a 2-D determinant."""
         mats = [random_basis(rng, 3).entries for _ in range(50)]
+        # third column first + second, off their plane by 1e-11 (kept,
+        # at 7 times the guard) and by 1e-15 (refused)
+        mats[3] = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
+                            [0.0, 0.0, 1e-11]])
         mats[7] = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0],
                             [0.0, 0.0, 1e-15]])
         mats[19] = np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0],
                              [0.0, 0.0, 1.0]])
         mats[31] = 1e200 * np.eye(3)
         mats[40] = np.zeros((3, 3))
+        mats[45] = np.array([[np.inf, 0.0, 0.0], [0.0, 0.0, 0.0],
+                             [0.0, 0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = LatticeBasis.from_stack(np.stack(mats))
+            alone = []
+            for M in mats:
+                try:
+                    alone.append(LatticeBasis(M))
+                except ValueError as err:
+                    alone.append(err)
         assert len(got) == len(mats)
-        for M, X in zip(mats, got):
-            ref = _checked_alone(M)
-            assert type(X) is type(ref)
-            if isinstance(ref, LatticeBasis):
-                assert X.entries.tobytes() == ref.entries.tobytes()
-                assert X.det == ref.det
-                assert not X.entries.flags.writeable
-            else:
-                assert str(X) == str(ref)
+        refused = 0
+        for M, X, Y in zip(mats, got, alone):
+            ref = _checked_by_hand(M)
+            for Z in (X, Y):
+                if isinstance(ref, float):
+                    assert type(Z) is LatticeBasis
+                    assert Z.entries.tobytes() == M.tobytes()
+                    assert Z.det == ref
+                    assert not Z.entries.flags.writeable
+                else:
+                    assert type(Z) is type(ref)
+                    assert str(Z) == str(ref)
+            refused += not isinstance(ref, float)
+        assert refused == 5
 
     def test_stack_copied(self):
         mats = np.stack([np.eye(2), 2.0 * np.eye(2)])

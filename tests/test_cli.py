@@ -31,6 +31,36 @@ def run(tmp_path, command, cfg, out=None, seed=None, name="cfg.json"):
     return main(argv)
 
 
+def run_process(tmp_path, command, cfg):
+    """The CLI run in a process of its own, so its stderr holds any
+    warning numpy prints."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "latticeball.cli", command, "--config",
+         str(path)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("theorem1", {"n": 2, "t_grid": [4, 6, 9], "samples": 2,
+                  "family": {"delta": 1e300, "det_floor": 0.3}},
+     "config error: delta 1e+300 too large"),
+    ("vdc", {"phi": [0.0, 1.0], "psi0": [1.0], "a": -1e308, "b": 1e308,
+             "t_grid": [5.0]},
+     "config error: interval a = -1e+308, b = 1e+308 too wide"),
+    ("cn", {"n": 700}, "config error: n = 700 too large"),
+], ids=["family-delta", "vdc-interval", "cn-dimension"])
+def test_float_overflow_is_one_stderr_line(tmp_path, command, cfg, message):
+    """A value whose arithmetic overflows floats exits 3 with one stderr
+    line that names it, and no numpy warning before it."""
+    done = run_process(tmp_path, command, cfg)
+    assert done.returncode == CONFIG
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), lines
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -118,17 +148,15 @@ class TestCount:
          "config error: count would exceed the 64-bit range"),
         ({"basis": {"n": 2, "columns": [[1e200, 0], [0, 1e200]]}, "t": 1},
          USAGE, "input error: malformed basis"),
-    ], ids=["radius", "basis"])
+        ({"basis": {"n": 2, "columns": [[1e-20, 0], [0, 1e20]]}, "t": 1},
+         CONFIG, "config error: count would exceed 2**53"),
+        ({"basis": {"n": 2, "columns": [[1e-200, 0], [0, 1e200]]}, "t": 1},
+         CONFIG, "config error: Gram matrix overflows"),
+    ], ids=["radius", "basis", "thin-basis", "gram"])
     def test_overflow_is_one_stderr_line(self, tmp_path, cfg, code, message):
         """A radius or a basis too large for floats exits with one error
         line on stderr, and no numpy warning before it."""
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-m", "latticeball.cli", "count", "--config",
-             str(path)], capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src))
+        done = run_process(tmp_path, "count", cfg)
         assert done.returncode == code
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message), lines
@@ -560,7 +588,7 @@ class TestSandwich:
         def no_shells(*args):
             raise AssertionError("a Poisson shell was built")
 
-        monkeypatch.setattr(fourier, "_shell_points", no_shells)
+        monkeypatch.setattr(fourier, "_block", no_shells)
         cfg = dict({"basis": "identity", "n": n, "t": 2.5, "epsilon": 0.1},
                    **fields)
         assert run(tmp_path, "sandwich", cfg) == CONFIG

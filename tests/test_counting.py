@@ -87,6 +87,26 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(identity_basis(2), -1.0)
 
+    @pytest.mark.parametrize("lengths, message", [
+        # 2e20 + 1 points on the short axis: past int64
+        ((1e-20, 1e20), "2\\*\\*53"),
+        # the same lattice, its short column last
+        ((1e20, 1e-20), "2\\*\\*53"),
+        # 2000000000000999945 under the slack, which float sums round
+        ((1e-18, 1e18), "2\\*\\*53"),
+        ((1e-200, 1e200), "Gram matrix overflows"),
+    ], ids=["thin", "thin-reversed", "rounded", "gram"])
+    def test_counts_past_exact_floats_refused(self, lengths, message):
+        """Unimodular but thin: the volume check passes, and the count
+        (or the Gram matrix) is past what floats hold exactly."""
+        with pytest.raises(OverflowError, match=message):
+            count_points(LatticeBasis(np.diag(lengths)), 1.0)
+
+    def test_thin_count_below_2_53_exact(self):
+        """2 * 10^10 + 1 points: the closed form at level 0 is exact."""
+        X = LatticeBasis(np.diag([1e-10, 1e10]))
+        assert count_points(X, 1.0) == 20000000001
+
     @pytest.mark.xfail(strict=True, reason="the 1e-12 membership slack "
                        "keeps points strictly outside the ball")
     @pytest.mark.parametrize("t, expected", [

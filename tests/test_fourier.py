@@ -23,7 +23,7 @@ from latticeball.fourier import (
     SandwichResult,
     _BLOCK_MAX,
     _BLOCK_MIN,
-    _CACHED_SHELLS,
+    _MEMO_POINTS,
     _ROUNDING,
     _SMALL_S,
     _ball_envelope,
@@ -37,7 +37,6 @@ from latticeball.fourier import (
     _power_gap,
     _rho0_hat,
     _rho0_majorant,
-    _shell,
     _shell_points,
     _shell_masses,
     _shell_rho,
@@ -320,24 +319,39 @@ class TestShellPoints:
                 assert abs(2.0 * np.sum(half) - np.sum(full)) <= bound
 
 
+def memo_last(n: int) -> int:
+    """The last shell a block memoised by _block may reach."""
+    c = 0
+    while (2 * c + 3) ** n <= _MEMO_POINTS:
+        c += 1
+    return c
+
+
 class TestShellCache:
     @pytest.mark.parametrize("n", [2, 3])
     def test_cached_shells_are_read_only_shell_points(self, n):
-        for c in range(1, _CACHED_SHELLS + 1):
-            K, Kf = _shell(n, c)
-            assert _shell(n, c)[0] is K
-            K0 = _shell_points(n, c)
+        """Each block within the memo's budget is one read-only object,
+        whatever the call, holding its half shells one after another."""
+        for first, last in _blocks(n, memo_last(n)):
+            block = _block(n, first, last)
+            assert _block(n, first, last) is block
+            K, Kf, starts = block
+            K0 = np.concatenate([_shell_points(n, c)
+                                 for c in range(first, last + 1)])
             assert np.array_equal(K, K0)
             assert Kf.dtype == float and np.array_equal(Kf, K0)
             for a in (K, Kf):
                 assert not a.flags.writeable
 
     def test_larger_shells_are_not_kept(self):
-        c = _CACHED_SHELLS + 1
-        K, Kf = _shell(2, c)
-        assert _shell(2, c)[0] is not K
-        assert K.flags.writeable
-        assert np.array_equal(K, _shell_points(2, c))
+        """A block past the budget is rebuilt at each call."""
+        for n in (2, 3):
+            c = memo_last(n) + 1
+            K, Kf, starts = _block(n, c, c)
+            assert _block(n, c, c)[0] is not K
+            assert K.flags.writeable
+            assert np.array_equal(K, _shell_points(n, c))
+            assert starts == (0, K.shape[0])
 
 
 class TestShellRho:
@@ -489,9 +503,9 @@ def _poisson_sums_per_shell(basis: LatticeBasis, radii, epsilon: float,
     s_max = 0.0
     active = list(range(len(radii)))
     for c in range(1, cutoff + 1):
-        K, Kf = _shell(n, c)
+        K = _shell_points(n, c)
         rho = _shell_rho(K, c, epsilon)
-        s = _dual_norms(Kf, W)
+        s = _dual_norms(K, W)
         s_max = max(s_max, float(np.max(s)))
         rho_mass = 2.0 * float(np.sum(rho))
         transform = hat_chi_ball(
@@ -558,11 +572,11 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [2, 3])
     def test_block_is_its_shells_in_order(self, n):
         """A block's rows are its half shells one after another."""
-        for first, last in _blocks(n, _CACHED_SHELLS + 4):
+        for first, last in _blocks(n, memo_last(n) + 4):
             K, Kf, starts = _block(n, first, last)
             assert len(starts) == last - first + 2
             for j, c in enumerate(range(first, last + 1)):
-                Kc, _ = _shell(n, c)
+                Kc = _shell_points(n, c)
                 lo, hi = starts[j], starts[j + 1]
                 assert np.array_equal(K[lo:hi], Kc)
                 assert np.array_equal(Kf[lo:hi], Kc)
@@ -638,7 +652,8 @@ class TestBlockPass:
         assert_matches_oracle(
             3, got, _poisson_sums_per_shell(basis, (2.4, 3.0), 0.2, 8))
 
-    @pytest.mark.parametrize("n, cutoff", [(2, 90), (3, _CACHED_SHELLS + 3)])
+    # the memoised blocks end at shell 127 for n = 2 and 19 for n = 3
+    @pytest.mark.parametrize("n, cutoff", [(2, 90), (2, 130), (3, 27)])
     def test_shells_past_the_cache(self, n, cutoff):
         basis = LatticeBasis(_SHEAR2 if n == 2 else _SHEAR3)
         got = _poisson_sums(basis, (2.7,), 0.1, cutoff)
@@ -778,10 +793,10 @@ class TestShellMassTail:
     @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3, 1.7])
     def test_mass_is_the_full_shell_sum(self, n, epsilon):
         """m_c is twice the half shell's sum of the mollifier transform,
-        to rounding, on cached shells and past the cache."""
+        to rounding, on inner shells and outer ones."""
         _, masses = _shell_masses(n, epsilon, 25)
         for c in (1, 7, 24, 25):
-            K, _ = _shell(n, c)
+            K = _shell_points(n, c)
             full = 2.0 * math.fsum(_shell_rho(K, c, epsilon))
             assert masses[c - 1] == pytest.approx(full, rel=1e-13)
 
@@ -921,7 +936,7 @@ class TestSmoothedCount:
         def no_shells(*args):
             raise AssertionError("a Poisson shell was built")
 
-        monkeypatch.setattr(fourier, "_shell_points", no_shells)
+        monkeypatch.setattr(fourier, "_block", no_shells)
         with pytest.raises(ValueError, match="finite"):
             sandwich_check(identity_basis(3), t, 0.1)
 

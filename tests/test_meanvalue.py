@@ -51,6 +51,13 @@ class TestComputeCn:
         with pytest.raises(ValueError):
             compute_cn(2)
 
+    def test_overflowing_dimension_refused(self):
+        """From n = 647 on, 3**n passes the float range: refused, naming
+        n, where float(3) ** n used to raise a bare errno message."""
+        compute_cn(646)
+        with pytest.raises(OverflowError, match="n = 647"):
+            compute_cn(647)
+
     @pytest.mark.xfail(strict=True, reason="compute_cn's series is not "
                        "Rogers' constant 4 zeta(n-1)/zeta(n)")
     def test_c3_is_rogers_constant(self):

@@ -598,6 +598,14 @@ class TestVdc:
         with pytest.raises(ValueError, match="shape"):
             vdc_check(lambda x: x, lambda x: 1.0, 0.0, 1.0, [5.0])
 
+    def test_overflowing_interval_refused(self):
+        """b - a past the float range is refused before any evaluation."""
+        def never(x):
+            raise AssertionError("phi was evaluated")
+
+        with pytest.raises(ValueError, match="b - a overflows"):
+            vdc_check(never, never, -1e308, 1e308, [5.0])
+
     def test_report_serializes(self):
         rep = vdc_check(lambda x: x, lambda x: np.ones_like(x),
                         0.0, 1.0, [5.0])

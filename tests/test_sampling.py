@@ -127,6 +127,13 @@ class TestSampleCompact:
         for i in range(2):
             assert abs(sample_compact(spec, Seed(6, i)).det) >= 0.99 * bound
 
+    def test_overflowing_hadamard_bound_refused(self):
+        """A delta whose box's Hadamard bound overflows is refused by
+        name, without a numpy warning."""
+        with pytest.raises(ValueError, match="delta 1e\\+300 too large"):
+            CompactFamilySpec(center=np.eye(2), delta=1e300, det_floor=0.3)
+        CompactFamilySpec(center=np.eye(2), delta=1e150, det_floor=0.3)
+
     def test_seed_determinism(self):
         spec = CompactFamilySpec(center=np.eye(2), delta=0.2, det_floor=0.3)
         a = sample_compact(spec, Seed(3, 14))
