@@ -125,7 +125,13 @@ def _enumerate(R: np.ndarray, budget: float) -> np.ndarray:
             k = k[keep]
             b_k = b[parent]
             shift_k = shift[parent, :i] + cols[i][b_k] * k[:, None]
+            # every part lies below 2**53, and so does the total before
+            # a later pass, so the int64 sum cannot wrap before it is
+            # checked
             total = total + level(i - 1, b_k, rem_k[keep], shift_k)
+            if a and total.max() >= _EXACT_SUM:
+                raise OverflowError("count would exceed 2**53, past the "
+                                    "exact range of its float sums")
         return total
 
     return level(n - 1, np.arange(B), np.full(B, budget), np.zeros((B, n)))

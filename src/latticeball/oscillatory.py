@@ -544,8 +544,13 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     if not ts or any(t <= 0 for t in ts):
         raise ValueError("t_grid must contain positive values")
     x = np.linspace(a, b, _VDC_GRID_POINTS)
-    phv = _values(phi, x)
-    psv = _values(psi0, x)
+    with np.errstate(all="ignore"):
+        phv = _values(phi, x)
+        psv = _values(psi0, x)
+    for name, vals in (("phi", phv), ("psi0", psv)):
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} is not finite on the grid of "
+                             f"[{a:g}, {b:g}]")
     h = x[1] - x[0]
     dphi = np.diff(phv) / h
     c0 = float(np.min(dphi))

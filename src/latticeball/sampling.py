@@ -15,9 +15,12 @@ sqrt(3)/2).  Writing s1, s2 for the log ratios of consecutive diagonal
 entries of A, the invariant measure on the determinant-one slice
 restricted to that set factors as exp(-2 s1 - 2 s2) ds1 ds2 times
 Lebesgue in eta times Haar on the rotation, so s1 and s2 are independent
-shifted exponentials and no rejection is needed.  The Siegel set covers
-the space of lattices with multiplicity >= 1, and no draw is weighted by
-its multiplicity, so the sampler does not draw from Haar measure.
+shifted exponentials and no rejection is needed.  The rotation factor
+is not drawn: rotating a lattice changes neither its count in a centred
+ball nor |det|, so a draw is the upper triangular representative A N of
+its lattice.  The Siegel set covers the space of lattices with
+multiplicity >= 1, and no draw is weighted by its multiplicity, so the
+sampler does not draw from Haar measure.
 Measured against Siegel's mean V + 1 over 2e5 draws, its mean count
 falls short by 22.5 % at t = 0.6 and by 1.2 % at t = 2: an undercount
 concentrated at small radii.  The mean-count calibration against the
@@ -28,19 +31,13 @@ over its multiplicity).
 
 The sampler builds its bases a block of consecutive streams at a time,
 in one array pass: per stream a fresh rng_for generator fills one row of
-variates, in the order and with the bits that exponential(0.5) twice,
-uniform(-0.5, 0.5, 3) and standard_normal((3, 3)) give, and numpy then
-does the arithmetic of the whole block.  The rotation is Gram-Schmidt on
-the columns of the Gaussian matrix, the same K as a QR factorisation with
-positive R diagonal; X = K A N is formed entry by entry and its
-determinant by cofactors.  Every step is the IEEE operation a draw built
-alone in Python floats would make, with math.hypot and math.exp still
-called per draw (numpy's exp and a square root of a sum of squares round
-differently), so a draw's bits do not depend on its block.  The block is
-checked by LatticeBasis.from_stack and then for |det - 1| <= 1e-12.
-Against the LAPACK construction on the same draws, entries differ in the
-last few bits (at most 4.4e-14 relative on 2e4 draws, from Householder
-against Gram-Schmidt rounding), and counts are identical.
+five variates, the bits of exponential(0.5) twice and uniform(-0.5, 0.5,
+3), and numpy then forms X = A N for the whole block entry by entry, its
+last column over the diagonal product.  Each step is the IEEE operation
+a draw built alone would make (math.exp is still called per draw, since
+numpy's exp rounds differently), so a draw's bits do not depend on its
+block.  The block is checked by LatticeBasis.from_stack and then for
+|det - 1| <= 1e-12.
 
 Draw-ahead: a HaarSamplerConfig holds the latest block.  A call whose
 seed lies in it is answered from it; a call for the stream just past it
@@ -190,17 +187,17 @@ def sample_compact(spec: CompactFamilySpec, seed: Seed) -> LatticeBasis:
 
 
 # the longest block of Haar draws (the module docstring's draw-ahead
-# rule).  On a 2-vCPU VM one block costs 11.7 us a draw at 64 streams,
-# 10.6 at 256 and 10.3 at 1024, so longer blocks gain little and draw
-# more streams past the end of a run for nothing
+# rule).  On a 2-vCPU VM a block costs 10-11 us a draw at 64 streams and
+# 9-9.5 at 256 and at 1024: longer blocks gain little, and draw streams
+# past the end of a run for nothing
 _BLOCK_CAP = 256
 
 
 @dataclass(frozen=True)
 class HaarSamplerConfig:
-    """Settings of the Siegel-set sampler; n = 3 is the only dimension.
-
-    An instance also holds the sampler's latest block of draws (see the
+    """Settings of the Siegel-set sampler, whose draws are upper
+    triangular (A N, one per lattice); n = 3 is the only dimension.  An
+    instance also holds the sampler's latest block of draws (see the
     module docstring): state, not a setting, so it is left out of
     equality, hashing and repr.
     """
@@ -215,49 +212,14 @@ class HaarSamplerConfig:
                              f"only, got n = {self.n}")
 
 
-def _normalised(v: np.ndarray) -> np.ndarray:
-    """Each column of the (3, size) array v over its length, taken by
-    the 3-argument math.hypot per column."""
-    return v / np.array(list(map(math.hypot, *v.tolist())))
-
-
-def _less_along(v: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Each column of v minus its component along the unit column of q."""
-    c = v[0] * q[0] + v[1] * q[1] + v[2] * q[2]
-    return v - c * q
-
-
-def _rotations(z: np.ndarray) -> tuple:
-    """Haar rotations in SO(3) from nine standard Gaussians per draw: z
-    has shape (9, size), column k holding draw k's 3 x 3 matrix
-    row-major.  Returns the rotations' three columns, each of shape
-    (3, size).
-
-    Gram-Schmidt on the Gaussian columns gives the Q of their QR
-    factorisation with positive R diagonal, which is Haar on O(3).  Each
-    projection is applied twice, so the columns stay orthogonal to
-    rounding even when the Gaussian columns are nearly dependent.
-    Column 0 is negated when the determinant is -1.
-    """
-    u = _normalised(z[0::3])
-    v = _normalised(_less_along(_less_along(z[1::3], u), u))
-    w = _less_along(_less_along(z[2::3], u), v)
-    w = _normalised(_less_along(_less_along(w, u), v))
-    det = (w[0] * (u[1] * v[2] - u[2] * v[1])
-           + w[1] * (u[2] * v[0] - u[0] * v[2])
-           + w[2] * (u[0] * v[1] - u[1] * v[0]))
-    return np.where(det < 0, -u, u), v, w
-
-
 def _haar_block(master: int, start: int, size: int) -> list:
     """The draws of streams start, ..., start + size - 1 of master: for
     each, its LatticeBasis or the error one of its checks raised."""
-    var = np.empty((size, 14))
+    var = np.empty((size, 5))
     for row, stream in zip(var, range(start, start + size)):
         gen = rng_for(Seed(master, stream))
         gen.standard_exponential(out=row[0:2])
         gen.random(out=row[2:5])
-        gen.standard_normal(out=row[5:14])
     var[:, 0:2] *= 0.5      # exponential(0.5), twice
     var[:, 2:5] -= 0.5      # uniform(-0.5, 0.5), three times
     var = var.T
@@ -265,22 +227,19 @@ def _haar_block(master: int, start: int, size: int) -> list:
     s1 = s_min + var[0]
     s2 = s_min + var[1]
     e0, e1, e2 = var[2:5]
-    u, v, w = _rotations(var[5:14])
     v1 = (4.0 * s1 + 2.0 * s2) / 3.0
     v2 = (2.0 * s2 - 2.0 * s1) / 3.0
     logs = np.stack([v1, v2, -v1 - v2]).ravel().tolist()
     a = np.array(list(map(math.exp, logs))).reshape(3, size)
-    # K A: column j of K scaled by A[j, j] = 1 / sqrt(a[j])
+    # A N: row j of N, unit upper triangular with eta = (e0, e1, e2),
+    # scaled by A[j, j] = 1 / sqrt(a[j]); the last column over the det
     b0, b1, b2 = 1.0 / np.sqrt(a)
-    # then (K A) N, N unit upper triangular with eta = (e0, e1, e2)
-    p, q, r = b0 * u, b1 * v, b2 * w
-    cols = [p, p * e0 + q, p * e1 + q * e2 + r]
-    (x00, x10, x20), (x01, x11, x21), (x02, x12, x22) = cols
-    d = (x00 * (x11 * x22 - x12 * x21)
-         - x01 * (x10 * x22 - x12 * x20)
-         + x02 * (x10 * x21 - x11 * x20))
-    cols[-1] = cols[-1] / d
-    draws = LatticeBasis.from_stack(np.stack(cols, axis=-1).swapaxes(0, 1))
+    d = b0 * (b1 * b2)
+    zero = np.zeros(size)
+    rows = [[b0, b0 * e0, b0 * e1 / d],
+            [zero, b1, b1 * e2 / d],
+            [zero, zero, b2 / d]]
+    draws = LatticeBasis.from_stack(np.array(rows).transpose(2, 0, 1))
     for k, basis in enumerate(draws):
         if isinstance(basis, LatticeBasis) and abs(basis.det - 1.0) > 1e-12:
             draws[k] = ArithmeticError("unit determinant not achieved")
@@ -296,7 +255,8 @@ def _raise_or_return(draw):
 def sample_haar_unimodular(config: HaarSamplerConfig,
                            seed: Seed) -> LatticeBasis:
     """A unimodular 3 x 3 basis drawn from the Siegel set under the
-    invariant measure, one draw per seed.  Draws are not weighted by
+    invariant measure, one draw per seed, as the upper triangular
+    representative A N of its lattice.  Draws are not weighted by
     their multiplicity, so this is not exactly Haar (ROADMAP item 1).
 
     Draws are built a block of consecutive streams at a time and held

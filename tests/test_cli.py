@@ -51,7 +51,10 @@ def run_process(tmp_path, command, cfg):
              "t_grid": [5.0]},
      "config error: interval a = -1e+308, b = 1e+308 too wide"),
     ("cn", {"n": 700}, "config error: n = 700 too large"),
-], ids=["family-delta", "vdc-interval", "cn-dimension"])
+    ("vdc", {"phi": [0, 1, 0, 1], "psi0": [1], "a": -1e200, "b": 1e200,
+             "t_grid": [1, 2, 4]},
+     "config error: phi is not finite"),
+], ids=["family-delta", "vdc-interval", "cn-dimension", "vdc-phase"])
 def test_float_overflow_is_one_stderr_line(tmp_path, command, cfg, message):
     """A value whose arithmetic overflows floats exits 3 with one stderr
     line that names it, and no numpy warning before it."""
@@ -152,7 +155,21 @@ class TestCount:
          CONFIG, "config error: count would exceed 2**53"),
         ({"basis": {"n": 2, "columns": [[1e-200, 0], [0, 1e200]]}, "t": 1},
          CONFIG, "config error: Gram matrix overflows"),
-    ], ids=["radius", "basis", "thin-basis", "gram"])
+        # diag(2^-39, 2^-11, 2^-11): summed over its many enumeration
+        # passes in int64, the count of about 9.66e18 would wrap
+        ({"basis": {"n": 3, "columns": [[2.0 ** -39, 0, 0],
+                                        [0, 2.0 ** -11, 0],
+                                        [0, 0, 2.0 ** -11]]},
+          "t_grid": [1]},
+         CONFIG, "config error: count would exceed 2**53"),
+        # diag(2^-39, 2^-11, 2^-10.2): about 5.5e18, past 2**53 unwrapped
+        ({"basis": {"n": 3, "columns": [[2.0 ** -39, 0, 0],
+                                        [0, 2.0 ** -11, 0],
+                                        [0, 0, 2.0 ** -10.2]]},
+          "t_grid": [1]},
+         CONFIG, "config error: count would exceed 2**53"),
+    ], ids=["radius", "basis", "thin-basis", "gram", "wrapping-passes",
+            "passes-past-2-53"])
     def test_overflow_is_one_stderr_line(self, tmp_path, cfg, code, message):
         """A radius or a basis too large for floats exits with one error
         line on stderr, and no numpy warning before it."""

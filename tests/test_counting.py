@@ -107,6 +107,31 @@ class TestCountPoints:
         X = LatticeBasis(np.diag([1e-10, 1e10]))
         assert count_points(X, 1.0) == 20000000001
 
+    def test_many_pass_count_below_2_53_exact(self):
+        """About 1600 enumeration passes, their int64 running total
+        checked after each: a count below 2**53 comes through."""
+        X = LatticeBasis(np.diag([2.0 ** -25, 2.0 ** -11, 2.0 ** -10]))
+        assert count_points(X, 1.0) == 294759818461177
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 26: the Cholesky "
+                       "factor of an ill-conditioned Gram matrix rounds "
+                       "past the membership slack")
+    @pytest.mark.parametrize("columns", [
+        [[1000, 1], [1, 0]],
+        [[1000, 1], [1001, 1]],
+        [[10 ** 4, 1], [1, 0]],
+    ], ids=["s=1e3", "near-parallel", "s=1e4"])
+    def test_skewed_bases_of_z2_count_as_z2(self, columns):
+        """Pins a silent miscount: these are bases of Z^2, yet they lose
+        10 to 20 of its sphere points.  Once each basis is reduced
+        before it is counted, this passes and strict xfail fails."""
+        radii = [10, 100]
+        exact = [sum(2 * math.isqrt(t * t - a * a) + 1
+                     for a in range(-t, t + 1)) for t in radii]
+        assert exact == [317, 31417]
+        X = LatticeBasis(np.array(columns, dtype=float).T)
+        assert count_many([X], radii).tolist() == [exact]
+
     @pytest.mark.xfail(strict=True, reason="the 1e-12 membership slack "
                        "keeps points strictly outside the ball")
     @pytest.mark.parametrize("t, expected", [

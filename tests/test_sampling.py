@@ -20,7 +20,6 @@ from latticeball.sampling import (
     CompactFamilySpec,
     HaarSamplerConfig,
     Seed,
-    _rotations,
     rng_for,
     sample_compact,
     sample_haar_unimodular,
@@ -189,9 +188,10 @@ class TestHaar3d:
 
 
 def _lapack_reference(seed):
-    """The basis built with numpy's QR and matrix products from the same
-    draws, in the same order, as sample_haar_unimodular; returns the
-    rotation K and the basis entries."""
+    """The basis K A N built with numpy's QR and matrix products from the
+    same draws, in the same order, as sample_haar_unimodular, then nine
+    Gaussians more for a Haar rotation K; returns K and the basis
+    entries."""
     gen = rng_for(seed)
     s_min = math.log(SIEGEL_RATIO)
     s1 = s_min + gen.exponential(0.5)
@@ -212,46 +212,30 @@ def _lapack_reference(seed):
     return K, X
 
 
-def _gaussians(seed):
-    """The nine Gaussians the n = 3 sampler turns into its rotation."""
-    gen = rng_for(seed)
-    gen.exponential(0.5, 2)
-    gen.uniform(-0.5, 0.5, 3)
-    return gen.standard_normal((3, 3))
-
-
-def _rotation_block(seeds):
-    """The sampler's rotations for the seeds' Gaussians, built as one
-    block, as a stack of shape (len(seeds), 3, 3)."""
-    z = np.stack([_gaussians(s).ravel() for s in seeds]).T
-    return np.stack(_rotations(z), axis=1).transpose(2, 0, 1)
-
-
 class TestScalarConstruction:
-    """The sampler's entry-by-entry construction (Gram-Schmidt, K A N
-    and a cofactor determinant, over a block of draws) against numpy's
-    QR and matrix products on the same variates."""
+    """The sampler's entry-by-entry construction (A N and its diagonal
+    determinant, over a block of draws) against numpy's QR and matrix
+    products on the same variates, which also draw the rotation K."""
 
-    def test_rotation_in_so3(self):
-        for i, K in enumerate(_rotation_block([Seed(30, i)
-                                               for i in range(2000)])):
-            assert np.max(np.abs(K.T @ K - np.eye(3))) <= 1e-14, i
-            assert abs(np.linalg.det(K) - 1.0) <= 1e-14, i
-
-    def test_rotation_matches_qr(self):
-        for i, K in enumerate(_rotation_block([Seed(30, i)
-                                               for i in range(2000)])):
-            K_ref, _ = _lapack_reference(Seed(30, i))
-            assert np.max(np.abs(K - K_ref)) <= 1e-12, i
+    def test_upper_triangular_positive_diagonal(self):
+        config = HaarSamplerConfig(n=3)
+        for i in range(2000):
+            X = sample_haar_unimodular(config, Seed(30, i)).entries
+            assert np.array_equal(np.tril(X, -1), np.zeros((3, 3))), i
+            assert np.all(np.diag(X) > 0.0), i
 
     @pytest.mark.parametrize("n", [3])
     def test_basis_matches_reference(self, n):
         config = HaarSamplerConfig(n=n)
         for i in range(2000):
             X = sample_haar_unimodular(config, Seed(30, i)).entries
-            _, X_ref = _lapack_reference(Seed(30, i))
+            K, X_ref = _lapack_reference(Seed(30, i))
+            G, G_ref = X.T @ X, X_ref.T @ X_ref
+            scale = np.max(np.abs(G_ref))
+            assert np.max(np.abs(G - G_ref)) <= 1e-12 * scale, i
+            # the same lattice, rotated by the K the sampler leaves out
             scale = np.max(np.abs(X_ref))
-            assert np.max(np.abs(X - X_ref)) <= 1e-12 * scale, i
+            assert np.max(np.abs(K @ X - X_ref)) <= 1e-12 * scale, i
 
     @pytest.mark.parametrize("n", [3])
     def test_counts_match_reference(self, n):
@@ -266,10 +250,10 @@ class TestScalarConstruction:
 # the draws Seed(m, i), m in _MASTERS, i < _STREAMS, master by master
 _MASTERS = (1, 7, 134)
 _STREAMS = 20_000
-# sha256 over their entries' bytes in that order, as the scalar sampler
-# that preceded the block pass drew them
-_DRAWS_SHA256 = ("2810b27e157b5bacc839d62b09e34d97"
-                 "cfb0d08cacbb0812218d7e7afaf6c951")
+# sha256 over their entries' bytes in that order, drawn as A N; they
+# count as the K A N draws of the rotating sampler before them did
+_DRAWS_SHA256 = ("0f74858cd502f40bb4deb75b95aaecb4"
+                 "672d6328a2fa058895d69c4a8481e875")
 # streams the other orders ask for: past every block boundary up to the
 # cap (blocks start at streams 0, 1, 3, 7, ..., 255 and 511)
 _REORDERED = 600
