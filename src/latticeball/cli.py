@@ -396,18 +396,26 @@ def _run_vdc(cfg: dict):
                           interval=[a, b])
 
 
-# each subcommand's body and the top-level config keys it reads
+# each subcommand's help summary, body and the top-level config keys it
+# reads
 _COMMANDS = {
-    "count": (_run_count, {"basis", "n", "t", "t_grid"}),
-    "theorem1": (_run_theorem1, {"n", "t_grid", "samples", "seed", "family",
+    "count": ("exact lattice point counts over a t grid", _run_count,
+              {"basis", "n", "t", "t_grid"}),
+    "theorem1": ("remainder scaling over a compact family of bases",
+                 _run_theorem1, {"n", "t_grid", "samples", "seed", "family",
                                  "band"}),
-    "theorem2": (_run_theorem2, {"n", "t", "samples", "seed"}),
-    "cn": (_run_cn, {"n"}),
-    "fourier": (_run_fourier, {"n", "s_max", "points"}),
-    "sandwich": (_run_sandwich, {"basis", "n", "t", "epsilon"}),
-    "oscint": (_run_oscint, {"n", "k", "l", "signs", "eta", "psi_intervals",
+    "theorem2": ("remainder variance over random unimodular bases",
+                 _run_theorem2, {"n", "t", "samples", "seed"}),
+    "cn": ("the variance constant c_n", _run_cn, {"n"}),
+    "fourier": ("the ball indicator transform on a radial grid",
+                _run_fourier, {"n", "s_max", "points"}),
+    "sandwich": ("smoothed-count bracket around an exact count",
+                 _run_sandwich, {"basis", "n", "t", "epsilon"}),
+    "oscint": ("oscillatory integrals or their Hessian-decay check",
+               _run_oscint, {"n", "k", "l", "signs", "eta", "psi_intervals",
                              "t", "t_grid", "points_per_period", "hessian"}),
-    "vdc": (_run_vdc, {"phi", "psi0", "a", "b", "t", "t_grid"}),
+    "vdc": ("first-derivative bound check for polynomial phases", _run_vdc,
+            {"phi", "psi0", "a", "b", "t", "t_grid"}),
 }
 
 
@@ -421,20 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"latticeball {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, summary in [
-        ("count", "exact lattice point counts over a t grid"),
-        ("theorem1", "remainder scaling over a compact family of bases"),
-        ("theorem2", "remainder variance over random unimodular bases"),
-        ("cn", "the variance constant c_n"),
-        ("fourier", "the ball indicator transform on a radial grid"),
-        ("sandwich", "smoothed-count bracket around an exact count"),
-        ("oscint", "oscillatory integrals or their Hessian-decay check"),
-        ("vdc", "first-derivative bound check for polynomial phases"),
-    ]:
+    for name, (summary, _, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="directory for result, data, manifest")
-        if "seed" in _COMMANDS[name][1]:
+        if "seed" in keys:
             p.add_argument("--seed", type=int, default=None,
                            help="master seed, overrides the config value")
     return parser
@@ -451,7 +450,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    run, keys = _COMMANDS[command]
+    _, run, keys = _COMMANDS[command]
     unknown = sorted(cfg.keys() - keys)
     if unknown:
         print(f"error: {command} reads no config key "

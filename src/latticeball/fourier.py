@@ -9,12 +9,14 @@ expansion
 
     J1(x) = ((sin x - cos x) P(x) + (sin x + cos x) Q(x)) / sqrt(pi x),
 
-with P and Q summed until the first neglected term is below 2^-56; for
-real x that term bounds the remainder (DLMF 10.17(iii)), and taking sin
-and cos of x itself leaves the phase x - 3 pi/4 unrounded.  Below 25 it
-is the 64-node periodic trapezoid rule on
+with P and Q summed over the same 19 terms at every x: for real x the
+first neglected term bounds the remainder (DLMF 10.17(iii)), and it is
+below 2^-56 at x = 25 and falls as x grows.  Taking sin and cos of x
+itself leaves the phase x - 3 pi/4 unrounded.  Below 25 it is the
+64-node periodic trapezoid rule on
 J1(x) = (1/pi) int_0^pi cos(tau - x sin tau) d tau, whose error is the
-aliased J_63(x) - J_65(x), at most about (x/2)^63 / 63! < 1e-18.
+aliased J_63(x) - J_65(x), at most about (x/2)^63 / 63! < 1e-18.  No
+value of J1, or of hat_chi_ball, depends on the rest of its call.
 
 The mollifier is a product B-spline: rho(x) = prod rho0(x_i), where rho0
 is the order-8 B-spline on [-1, 1], the 8-fold convolution of the uniform
@@ -36,10 +38,9 @@ most _BLOCK_MAX = 4096 unless one shell alone holds more.  Each block
 builds its mollifier weights and dual norms once and makes one
 ball-transform call on every radius still summing times every dual norm;
 the shells are then summed one by one, in order, with the stop rules
-below checked after each.  For n = 2 the Hankel term count of J1 is set
-by a call's smallest argument, so the later shells of a block get at
-least the terms they would get alone and may differ in the last bit.
-The blocks of the inner shells are built once per process (_block).
+below checked after each, so the sums do not depend on the block
+sizes.  The blocks of the inner shells are built once per process
+(_block).
 
 Every sum carries a proven tail.  Every frequency k on shell c has
 |X^{-T} k| >= sigma c, where sigma = 1/||X||_2 is the smallest singular
@@ -100,8 +101,6 @@ _SMALL_S = 1e-3
 # J1 by the Hankel expansion from this argument on, by the trapezoid rule
 # below it
 _HANKEL_FROM = 25.0
-# the Hankel sums stop at the first term below this
-_HANKEL_CUT = 2.0 ** -56
 
 
 def _hankel_coefficients(count: int) -> tuple[float, ...]:
@@ -113,8 +112,11 @@ def _hankel_coefficients(count: int) -> tuple[float, ...]:
     return tuple(a)
 
 
-# 19 terms reach 2^-56 at x = 25; one more is the first neglected term
-_HANKEL = _hankel_coefficients(20)
+# P = sum_k (-1)^k a_2k z^2k and Q = sum_k (-1)^k a_(2k+1) z^(2k+1) with
+# z = 1/x, over a_0..a_18: the first neglected term a_19 / x^19 is below
+# 2^-56 at x = 25 and falls as x grows
+_HANKEL_P = _hankel_coefficients(19)[0::2]
+_HANKEL_Q = _hankel_coefficients(19)[1::2]
 
 # J1(x) = (1/pi) int_0^pi cos(tau - x sin tau) d tau is the mean of that
 # integrand over a whole period, where the trapezoid rule on 64 nodes
@@ -132,8 +134,6 @@ _TRAPEZOID_BLOCK = 4096
 
 def _horner(coefficients, y: np.ndarray) -> np.ndarray:
     """sum_k coefficients[k] y^k at each y."""
-    if not coefficients:
-        return np.zeros_like(y)
     acc = np.full_like(y, coefficients[-1])
     for c in coefficients[-2::-1]:
         acc *= y
@@ -143,29 +143,24 @@ def _horner(coefficients, y: np.ndarray) -> np.ndarray:
 
 def _j1_hankel(x: np.ndarray) -> np.ndarray:
     """J1 at each x >= _HANKEL_FROM by the Hankel expansion."""
-    # the term count of the call's smallest argument serves them all,
-    # since each term a_k / x^k falls with x; fmin passes over a NaN
-    x0 = float(np.fmin.reduce(x, axis=None, initial=math.inf))
-    terms = 1
-    while abs(_HANKEL[terms]) >= _HANKEL_CUT * x0 ** terms:
-        terms += 1
-    # P = sum_k (-1)^k a_2k z^2k and Q = sum_k (-1)^k a_(2k+1) z^(2k+1)
-    # over the first `terms` a_k, with z = 1/x
     z = 1.0 / x
     y = -z * z
-    p = _horner(_HANKEL[0:terms:2], y)
-    q = _horner(_HANKEL[1:terms:2], y) * z
+    p = _horner(_HANKEL_P, y)
+    q = _horner(_HANKEL_Q, y) * z
     sin, cos = np.sin(x), np.cos(x)
     return ((sin - cos) * p + (sin + cos) * q) / np.sqrt(math.pi * x)
 
 
 def _j1_trapezoid(x: np.ndarray) -> np.ndarray:
-    """J1 at each x < _HANKEL_FROM by the trapezoid rule, in blocks."""
+    """J1 at each x < _HANKEL_FROM by the trapezoid rule, in blocks.  Each
+    row of 16 terms is summed on its own, not by a BLAS product, so its
+    bits do not depend on the number of rows."""
     out = np.empty_like(x)
     for lo in range(0, x.size, _TRAPEZOID_BLOCK):
         block = slice(lo, lo + _TRAPEZOID_BLOCK)
-        out[block] = (np.sin(np.multiply.outer(x[block], _TRAPEZOID_SIN))
-                      @ _TRAPEZOID_WEIGHTS)
+        terms = np.sin(np.multiply.outer(x[block], _TRAPEZOID_SIN))
+        terms *= _TRAPEZOID_WEIGHTS
+        out[block] = np.add.reduce(terms, axis=1)
     return out
 
 
@@ -178,9 +173,7 @@ def _j1(x: np.ndarray) -> np.ndarray:
         return _j1_hankel(x)
     out = np.empty_like(x)
     out[near] = _j1_trapezoid(x[near])
-    far = ~near
-    if far.any():
-        out[far] = _j1_hankel(x[far])
+    out[~near] = _j1_hankel(x[~near])
     return out
 
 
@@ -190,10 +183,8 @@ def hat_chi_ball(n: int, s):
     n = 3: -cos(2 pi s)/(pi s^2) + sin(2 pi s)/(2 pi^2 s^3)
     n = 2: J1(2 pi s)/s
     with the value at s = 0 equal to the unit-ball volume and a short
-    even Taylor series bridging the removable singularity.  For n = 2 the
-    Hankel term count comes from the call's smallest argument, so an
-    argument's value may differ in its last bits between calls: a Poisson
-    sum makes one call per block of shells.
+    even Taylor series bridging the removable singularity.  Each value
+    depends on its own argument alone, whatever else shares the call.
 
     The domain is |s| with 2 pi |s| finite, up to about 2.86e307.  Past
     that the phase 2 pi s overflows to inf and both n = 2 and n = 3
@@ -206,10 +197,8 @@ def hat_chi_ball(n: int, s):
     scalar = s.ndim == 0
     # a new array, so the work below may overwrite it
     sb = np.abs(np.atleast_1d(s))
-    st = None
-    if np.fmin.reduce(sb, axis=None, initial=math.inf) < _SMALL_S:
-        tiny = sb < _SMALL_S
-        st = sb[tiny]
+    tiny = np.flatnonzero(sb < _SMALL_S)
+    st = sb.flat[tiny]
     # the closed form runs on every argument, the tiny ones lifted to
     # _SMALL_S so that s = 0 divides by nothing; their values are then
     # overwritten by the series.  Past about 5.7e102 (n = 3) s^3
@@ -236,18 +225,18 @@ def hat_chi_ball(n: int, s):
             # J1 in numpy: scipy.special would cost about 0.3 s and 25 MB
             # on first use, inside the first n = 2 call
             out = _j1(2.0 * math.pi * sb) / sb
-    if st is not None:
+    if tiny.size:
         if n == 3:
             u2 = (2.0 * math.pi * st) ** 2
             # (u^2/3 - u^4/30 + u^6/840 - u^8/45360) / (pi s^2)
             poly = (1.0 / 3.0
                     - u2 * (1.0 / 30.0
                             - u2 * (1.0 / 840.0 - u2 / 45360.0)))
-            out[tiny] = 4.0 * math.pi * poly
+            out.flat[tiny] = 4.0 * math.pi * poly
         else:
             v = (math.pi * st) ** 2
-            out[tiny] = math.pi * (1.0 - v / 2.0 + v * v / 12.0
-                                   - v ** 3 / 144.0)
+            out.flat[tiny] = math.pi * (1.0 - v / 2.0 + v * v / 12.0
+                                        - v ** 3 / 144.0)
     return float(out[0]) if scalar else out
 
 
@@ -530,8 +519,8 @@ def _poisson_sums(basis: LatticeBasis, radii, epsilon: float, cutoff: int,
     summed at every radius still accumulating.  A block gathers its
     mollifier weights from rho0_hat at its last shell's coordinates, makes
     one pass over its dual norms and one ball-transform call on the outer
-    product of those radii and the dual norms; for n = 2 that call's
-    smallest argument sets the Hankel term count of the whole block.
+    product of those radii and the dual norms, whose values are those of
+    one call per shell.
     Every term is even in k, so all of this runs on one point of each +-k
     pair, and a shell's sum is twice its half shell's: each half shell's
     terms are summed on their own, one radius at a time, and doubled,

@@ -524,6 +524,8 @@ def _values(f, x: np.ndarray) -> np.ndarray:
 
 # points of the sample grid on which vdc_check verifies its phase
 _VDC_GRID_POINTS = 4097
+# quadrature nodes per t, about a dozen floats each: under about 100 MB
+_VDC_MAX_NODES = 1 << 20
 
 
 def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
@@ -533,7 +535,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     conditions are verified on _VDC_GRID_POINTS equally spaced points and
     violations raise ValueError.  Note the phase convention: e^{i t phi},
     no 2 pi.  phi and psi0 are called on numpy arrays of points and must
-    return one value per point.
+    return one value per point.  A t whose quadrature needs more than
+    _VDC_MAX_NODES nodes raises ResolutionError before any t is summed.
     """
     if not (b > a):
         raise ValueError("need b > a")
@@ -541,8 +544,8 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
         raise ValueError(f"interval a = {a:g}, b = {b:g} too wide: b - a "
                          f"overflows")
     ts = [float(t) for t in t_grid]
-    if not ts or any(t <= 0 for t in ts):
-        raise ValueError("t_grid must contain positive values")
+    if not ts or not all(0 < t < math.inf for t in ts):
+        raise ValueError("t_grid must contain positive finite values")
     x = np.linspace(a, b, _VDC_GRID_POINTS)
     with np.errstate(all="ignore"):
         phv = _values(phi, x)
@@ -563,16 +566,24 @@ def vdc_check(phi, psi0, a: float, b: float, t_grid) -> VdcReport:
     tv = float(np.sum(np.abs(np.diff(psv))))
     end = abs(float(psv[-1]))
 
+    # about 3 phase cycles per panel, and at least 4 panels; an
+    # overflowing phase gives inf, which the budget refuses
+    with np.errstate(over="ignore"):
+        cycles = np.abs(np.multiply(ts, phv[-1] - phv[0])) / (2.0 * math.pi)
+        panels = np.maximum(4.0, np.ceil(cycles / 3.0))
+    for t, count in zip(ts, panels.tolist()):
+        if not count * _VDC_ORDER <= _VDC_MAX_NODES:
+            raise ResolutionError(
+                f"t = {t:g} needs {count * _VDC_ORDER:.2e} quadrature "
+                f"nodes, over the budget of {_VDC_MAX_NODES}")
     nodes, wts = _leggauss(_VDC_ORDER)
     measured = []
-    for t in ts:
-        cycles = abs(t * (phv[-1] - phv[0])) / (2.0 * math.pi)
-        panels = max(4, math.ceil(cycles / 3.0))
-        edges = np.linspace(a, b, panels + 1)
+    for t, count in zip(ts, panels.astype(int).tolist()):
+        edges = np.linspace(a, b, count + 1)
         centers = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1] - edges[0]) / 2.0
         xx = (centers[:, None] + half * nodes[None, :]).ravel()
-        ww = np.broadcast_to(half * wts, (panels, _VDC_ORDER)).ravel()
+        ww = np.broadcast_to(half * wts, (count, _VDC_ORDER)).ravel()
         pv = _values(phi, xx)
         sv = _values(psi0, xx)
         val = np.sum(ww * sv * (np.cos(t * pv) + 1j * np.sin(t * pv)))

@@ -43,23 +43,32 @@ def run_process(tmp_path, command, cfg):
         env=dict(os.environ, PYTHONPATH=src))
 
 
-@pytest.mark.parametrize("command, cfg, message", [
+@pytest.mark.parametrize("command, cfg, code, message", [
     ("theorem1", {"n": 2, "t_grid": [4, 6, 9], "samples": 2,
                   "family": {"delta": 1e300, "det_floor": 0.3}},
-     "config error: delta 1e+300 too large"),
+     CONFIG, "config error: delta 1e+300 too large"),
     ("vdc", {"phi": [0.0, 1.0], "psi0": [1.0], "a": -1e308, "b": 1e308,
              "t_grid": [5.0]},
-     "config error: interval a = -1e+308, b = 1e+308 too wide"),
-    ("cn", {"n": 700}, "config error: n = 700 too large"),
+     CONFIG, "config error: interval a = -1e+308, b = 1e+308 too wide"),
+    ("cn", {"n": 700}, CONFIG, "config error: n = 700 too large"),
     ("vdc", {"phi": [0, 1, 0, 1], "psi0": [1], "a": -1e200, "b": 1e200,
              "t_grid": [1, 2, 4]},
-     "config error: phi is not finite"),
-], ids=["family-delta", "vdc-interval", "cn-dimension", "vdc-phase"])
-def test_float_overflow_is_one_stderr_line(tmp_path, command, cfg, message):
-    """A value whose arithmetic overflows floats exits 3 with one stderr
-    line that names it, and no numpy warning before it."""
+     CONFIG, "config error: phi is not finite"),
+    ("vdc", {"phi": [0, 1e7], "psi0": [1], "a": -1e300, "b": 1e300,
+             "t_grid": [100]},
+     RESOLUTION, "resolution error: t = 100 needs inf quadrature nodes"),
+    ("vdc", {"phi": [0, 1], "psi0": [1], "a": 0, "b": 1e6, "t_grid": [1e4]},
+     RESOLUTION,
+     "resolution error: t = 10000 needs 1.70e+10 quadrature nodes"),
+], ids=["family-delta", "vdc-interval", "cn-dimension", "vdc-phase",
+        "vdc-cycles", "vdc-node-budget"])
+def test_float_overflow_is_one_stderr_line(tmp_path, command, cfg, code,
+                                           message):
+    """A value whose arithmetic overflows floats exits 3, or 5 where it
+    sets a quadrature's node count, as does a vdc t past its node budget,
+    with one stderr line that names it and no numpy warning before it."""
     done = run_process(tmp_path, command, cfg)
-    assert done.returncode == CONFIG
+    assert done.returncode == code
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(message), lines
 
@@ -406,7 +415,8 @@ class TestOutDirectory:
         def no_run(cfg):
             raise AssertionError("cn ran")
 
-        monkeypatch.setitem(cli._COMMANDS, "cn", (no_run, {"n"}))
+        summary, _, keys = cli._COMMANDS["cn"]
+        monkeypatch.setitem(cli._COMMANDS, "cn", (summary, no_run, keys))
         blocker = tmp_path / "taken"
         blocker.write_text("keep")
         out = blocker / "run" if under else blocker
@@ -440,8 +450,8 @@ class TestConfigKeys:
         def no_run(cfg):
             raise AssertionError(f"{command} ran")
 
-        _, keys = cli._COMMANDS[command]
-        monkeypatch.setitem(cli._COMMANDS, command, (no_run, keys))
+        summary, _, keys = cli._COMMANDS[command]
+        monkeypatch.setitem(cli._COMMANDS, command, (summary, no_run, keys))
         assert run(tmp_path, command, cfg) == USAGE
         err = capsys.readouterr().err
         assert f"{command} reads no config key '{key}'" in err

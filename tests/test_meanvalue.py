@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import special
 from latticeball.basis import identity_basis
 from latticeball.counting import (
     ball_volume,
+    count_many,
     count_points,
     error_term,
     unit_ball_volume,
@@ -66,6 +68,61 @@ class TestComputeCn:
         and README must change with it."""
         rogers = 4.0 * float(special.zeta(2.0)) / float(special.zeta(3.0))
         assert compute_cn(3).value == pytest.approx(rogers, abs=1e-9)
+
+
+def _mobius(m: int) -> list[int]:
+    """mu(d) for d = 0..m (mu(0) unused), by a sieve."""
+    mu = [1] * (m + 1)
+    prime = [True] * (m + 1)
+    for q in range(2, m + 1):
+        if prime[q]:
+            for k in range(q, m + 1, q):
+                prime[k] = k == q
+                mu[k] = -mu[k]
+            for k in range(q * q, m + 1, q * q):
+                mu[k] = 0
+    return mu
+
+
+class TestHeckeMoments:
+    def test_rogers_constant_from_one_count_many_call(self):
+        """The exact mean and variance of the count over the
+        (p^3 - 1)/(p - 1) index-p sublattices of Z^3 scaled to covolume
+        1, with no sampler, from the counts N(R/m) of Z^3 alone.
+
+        At R = t p^(1/3) with R^2 < p, two ball points share a line mod p
+        only when they are rationally collinear, so the sum D over lines
+        of (ball points on the line)^2 is sum over primitive u, up to
+        sign, of (2 floor(R/|u|))^2.  The primitive counts are
+        P(r) = sum_d mu(d) (N(r/d) - 1), and with q1 = (p^2 - 1)/(p^3 - 1)
+        and q2 = (p - 1)/(p^3 - 1) the nonzero count N' has
+        E[N'] = q1 N_Z and E[N'^2] = q1 D + q2 (N_Z^2 - D).  Var/V is
+        then within 0.2 % of Rogers' 4 zeta(2)/zeta(3) - 2, which
+        compute_cn(3) does not give (test_c3_is_rogers_constant)."""
+        n, t, p = 3, 8, 10 ** 6 + 3
+        R = t * p ** (1.0 / n)
+        assert R * R < p
+        top = math.floor(R) + 1
+        counts = count_many([identity_basis(n)],
+                            [R / m for m in range(1, top + 1)])[0].tolist()
+        N = dict(zip(range(1, top + 1), counts))
+        mu = _mobius(top)
+
+        def primitive(j):
+            return sum(mu[d] * (N[j * d] - 1) for d in range(1, top // j + 1))
+
+        P = [0] + [primitive(j) for j in range(1, top + 1)] + [0]
+        D = sum((P[j] - P[j + 1]) // 2 * (2 * j) ** 2 for j in range(1, top))
+        n_z = N[1] - 1
+        q1 = Fraction(p ** (n - 1) - 1, p ** n - 1)
+        q2 = Fraction(p ** (n - 2) - 1, p ** n - 1)
+        mean = q1 * n_z
+        var = q1 * D + q2 * (n_z ** 2 - D) - mean ** 2
+        V = unit_ball_volume(n) * t ** n
+        rogers = 4.0 * float(special.zeta(2.0)) / float(special.zeta(3.0))
+        assert round(float(var) / V, 6) == 3.468282
+        assert float(var) / V == pytest.approx(rogers - 2.0, rel=2e-3)
+        assert float(mean) / V == pytest.approx(1.0, abs=1e-5)
 
 
 class TestMomentFormulas:

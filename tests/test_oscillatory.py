@@ -11,6 +11,7 @@ from latticeball.oscillatory import (
     I_kl,
     OscillatorySpec,
     ResolutionError,
+    _VDC_GRID_POINTS,
     _leggauss,
     _panels,
     _pushforward_value,
@@ -605,6 +606,26 @@ class TestVdc:
 
         with pytest.raises(ValueError, match="b - a overflows"):
             vdc_check(never, never, -1e308, 1e308, [5.0])
+
+    def test_over_budget_grid_refused_before_quadrature(self):
+        """A t whose quadrature needs more than _VDC_MAX_NODES nodes is
+        refused after the grid check alone, before the quadrature of any
+        t allocates its nodes; vdc_cubic's largest t needs 1120."""
+        shapes = []
+
+        def phi(x):
+            shapes.append(x.shape)
+            return x
+
+        with pytest.raises(ResolutionError, match="t = 1e.07 needs 1.70e"):
+            vdc_check(phi, lambda x: np.ones_like(x), 0.0, 1e3,
+                      [5.0, 1e7])
+        assert shapes == [(_VDC_GRID_POINTS,)]
+
+    @pytest.mark.parametrize("t", [0.0, math.inf, math.nan])
+    def test_t_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="positive finite"):
+            vdc_check(lambda x: x, lambda x: np.ones_like(x), 0.0, 1.0, [t])
 
     def test_report_serializes(self):
         rep = vdc_check(lambda x: x, lambda x: np.ones_like(x),
